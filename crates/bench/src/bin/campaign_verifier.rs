@@ -244,12 +244,12 @@ fn main() {
     );
 
     // ── Registry snapshot roundtrip ────────────────────────────────
-    let snapshot = verifier.registry().snapshot_json();
-    let restored = Verifier::from_snapshot(&snapshot, config).expect("own snapshot must load");
-    let roundtrip_ok = restored.registry().snapshot_json() == snapshot
+    let snapshot = verifier.snapshot_v2();
+    let restored = Verifier::from_snapshot_v2(&snapshot, config).expect("own snapshot must load");
+    let roundtrip_ok = restored.snapshot_v2() == snapshot
         && restored.registry().len() == verifier.registry().len();
     println!(
-        "\nsnapshot: {} bytes (ropuf-verifier/v1), reload roundtrip byte-identical: {roundtrip_ok}",
+        "\nsnapshot: {} bytes (ropuf-verifier/v2), reload roundtrip byte-identical: {roundtrip_ok}",
         snapshot.len()
     );
     assert!(roundtrip_ok, "snapshot roundtrip violated");

@@ -135,8 +135,8 @@ fn render_resilience(prev: &Snapshot, cur: &Snapshot, dt: f64) -> String {
     )
 }
 
-/// Aggregate (count, sum-ns) per lifecycle phase, across message types
-/// and backends, indexed by [`SERIES_PHASES`].
+/// Aggregate (count, sum-ns) per lifecycle phase, across message types,
+/// indexed by [`SERIES_PHASES`].
 fn phase_totals(s: &Snapshot) -> [(u64, u128); SERIES_PHASES.len()] {
     let mut out = [(0u64, 0u128); SERIES_PHASES.len()];
     for m in &s.metrics {

@@ -1,0 +1,48 @@
+//! CRC-32 (IEEE 802.3, the zlib polynomial): the checksum framing the
+//! telemetry blobs, the verifier's v2 snapshots and its WAL records.
+
+/// Reflected-polynomial lookup table, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE) of `bytes`.
+///
+/// ```
+/// assert_eq!(ropuf_numeric::crc32(b"123456789"), 0xCBF4_3926);
+/// ```
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // IEEE CRC-32 check value from the CRC catalogue.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+}

@@ -20,6 +20,8 @@
 //!   has no `rand_distr`).
 //! * [`histogram`] — a mergeable log-bucketed latency histogram
 //!   (p50/p90/p99/p999) for the serving-layer harnesses.
+//! * [`crc`] — the CRC-32 shared by the telemetry codec and the
+//!   verifier's snapshot and WAL formats.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod bits;
+pub mod crc;
 pub mod histogram;
 pub mod linalg;
 pub mod permutation;
@@ -43,6 +46,7 @@ pub mod sampling;
 pub mod stats;
 
 pub use bits::BitVec;
+pub use crc::crc32;
 pub use histogram::{bucket_floor, Histogram, HistogramSummary, SparseHistogramError};
 pub use linalg::Matrix;
 pub use permutation::Permutation;

@@ -546,14 +546,14 @@ mod tests {
                 client: "t".into(),
             })
             .unwrap();
-            w.write_request(&Request::Snapshot).unwrap();
+            w.write_request(&Request::SnapshotV2).unwrap();
         }
         let mut r = FrameReader::new(&wire[..]);
         assert!(matches!(
             r.read_request().unwrap(),
             Some(Request::Hello { .. })
         ));
-        assert_eq!(r.read_request().unwrap(), Some(Request::Snapshot));
+        assert_eq!(r.read_request().unwrap(), Some(Request::SnapshotV2));
         assert_eq!(r.read_request().unwrap(), None, "clean EOF between frames");
     }
 

@@ -36,9 +36,10 @@
 //! | → | [`Request::Authenticate`] | one nonce/tag attempt |
 //! | → | [`Request::BatchAuthenticate`] | many attempts, amortized locking |
 //! | → | [`Request::QueryVerdict`] | a device's flag state |
-//! | → | [`Request::Snapshot`] | `ropuf-verifier/v1` registry dump (legacy JSON) |
+//! | → | `0x06` | retired (the v1 JSON snapshot request); decodes as [`DecodeError::UnknownMessage`] |
 //! | → | [`Request::SnapshotV2`] | `ropuf-verifier/v2` binary registry snapshot |
-//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotText`], [`Response::SnapshotBin`] | success answers |
+//! | ← | [`Response::HelloOk`], [`Response::EnrollOk`], [`Response::Verdict`], [`Response::VerdictBatch`], [`Response::FlagInfo`], [`Response::SnapshotBin`] | success answers |
+//! | ← | `0x86` | retired (the v1 JSON snapshot answer); decodes as [`DecodeError::UnknownMessage`] |
 //! | ← | [`Response::Error`] | typed failure ([`ErrorCode`]) — notably [`ErrorCode::DeviceFlagged`]: quarantined devices are rejected at the wire |
 //!
 //! # Example

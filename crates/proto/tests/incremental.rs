@@ -274,7 +274,7 @@ impl Read for Piece<'_> {
 #[test]
 fn pending_keeps_partial_header_and_payload_state() {
     // 2 header bytes, stall, 2 more, stall, then the payload.
-    let request = Request::Snapshot;
+    let request = Request::SnapshotV2;
     let wire = framed_stream(&[request.clone()]);
     let mut accum = FrameAccum::new();
     let mut fed = 0;
@@ -337,12 +337,12 @@ fn scratch_is_bounded_across_error_paths() {
 
     // And the accumulator still works after errors: a fresh valid
     // frame decodes normally.
-    let wire = framed_stream(&[Request::Snapshot]);
+    let wire = framed_stream(&[Request::SnapshotV2]);
     let mut src = &wire[..];
     assert_eq!(accum.poll(&mut src).unwrap(), FramePoll::Frame);
     assert_eq!(
         RequestRef::decode(accum.payload()).unwrap().into_owned(),
-        Request::Snapshot
+        Request::SnapshotV2
     );
 }
 
@@ -355,13 +355,13 @@ fn frame_reader_scratch_is_bounded_after_decode_errors() {
     let mut wire = Vec::new();
     ropuf_proto::append_frame(&mut wire, &garbage).unwrap();
     FrameWriter::new(&mut wire)
-        .write_request(&Request::Snapshot)
+        .write_request(&Request::SnapshotV2)
         .unwrap();
 
     let mut reader = FrameReader::new(&wire[..]);
     assert!(matches!(reader.read_request(), Err(FrameError::Decode(_))));
     // Next read consumes the bad frame's buffer and re-bounds it…
-    assert_eq!(reader.read_request().unwrap(), Some(Request::Snapshot));
+    assert_eq!(reader.read_request().unwrap(), Some(Request::SnapshotV2));
     assert!(
         reader.scratch_capacity() <= SCRATCH_RETAIN,
         "decode-error path retained {} bytes",

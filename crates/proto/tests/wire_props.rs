@@ -66,7 +66,6 @@ proptest! {
                 key_digest: [digest_fill; 32],
             },
             Request::QueryVerdict { device_id },
-            Request::Snapshot,
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,
@@ -127,7 +126,6 @@ proptest! {
             Response::VerdictBatch(shapes.iter().map(|&s| verdict_from(s)).collect()),
             Response::FlagInfo { flagged: None },
             Response::FlagInfo { flagged: Some((at, reason_from(reason_code))) },
-            Response::SnapshotText { json: text.clone() },
             Response::SnapshotBin { bytes: blob.clone() },
             Response::MetricsBin { bytes: blob.clone() },
             Response::TraceBin { bytes: blob.clone() },
@@ -165,7 +163,6 @@ proptest! {
                     .collect(),
             },
             Request::Hello { protocol: seed as u16, client: format!("c{seed}") },
-            Request::Snapshot,
             Request::SnapshotV2,
             Request::MetricsSnapshot,
             Request::TraceDump,

@@ -23,22 +23,20 @@
 //!   └────────────────────────────────────────────────────────────┘
 //!        │ all loops share one Arc<dyn RequestHandler>
 //!        ▼
-//!   shared Verifier (per-shard locks, exactly as the blocking pool)
+//!   shared Verifier (per-shard locks)
 //! ```
 //!
-//! Where the blocking [`TcpServer`](crate::tcp::TcpServer) dedicates a
-//! worker thread to one connection at a time (concurrency capped by
-//! the pool size, one slow client stalls a worker), this server
-//! multiplexes **thousands of connections per loop thread**: each
-//! connection is a small state machine that only runs when the kernel
-//! says its socket is ready. Connections support pipelining (many
-//! requests in flight back-to-back on one socket; responses come back
-//! in order), per-connection buffers are bounded (the 64 KiB
-//! [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN) retention rule plus
-//! a configurable write-buffer high-water mark that pauses reading —
-//! backpressure instead of unbounded queueing), and two timers evict
-//! hostile or dead peers: an idle timeout between requests and a
-//! stricter mid-frame timeout that defeats slow-loris trickles.
+//! The server multiplexes **thousands of connections per loop
+//! thread**: each connection is a small state machine that only runs
+//! when the kernel says its socket is ready. Connections support
+//! pipelining (many requests in flight back-to-back on one socket;
+//! responses come back in order), per-connection buffers are bounded
+//! (the 64 KiB [`SCRATCH_RETAIN`](ropuf_proto::SCRATCH_RETAIN)
+//! retention rule plus a configurable write-buffer high-water mark
+//! that pauses reading — backpressure instead of unbounded queueing),
+//! and two timers evict hostile or dead peers: an idle timeout between
+//! requests and a stricter mid-frame timeout that defeats slow-loris
+//! trickles.
 //!
 //! # Tail-latency discipline
 //!
@@ -62,13 +60,14 @@
 //!   served identically — affinity is an optimization, never a
 //!   correctness requirement.
 //!
-//! Protocol semantics are **identical** to the blocking server: both
-//! funnel decoded [`RequestRef`]s through the same shared
-//! [`RequestHandler`], malformed frames are answered with a typed
+//! Protocol semantics are **identical** to the in-process
+//! [`LoopbackTransport`](crate::LoopbackTransport): both funnel decoded
+//! [`RequestRef`]s through the same shared [`RequestHandler`].
+//! Malformed frames are answered with a typed
 //! [`ErrorCode::MalformedRequest`] before the connection closes, and
 //! oversized responses degrade to [`ErrorCode::ResponseTooLarge`]. The
-//! equivalence suite replays identical traffic through both backends —
-//! and through every loop/reuseport topology — and asserts bit-for-bit
+//! equivalence suite replays identical traffic through loopback and
+//! through every loop/reuseport topology, and asserts bit-for-bit
 //! identical response bytes.
 
 use std::collections::VecDeque;
@@ -107,12 +106,6 @@ pub struct EventedConfig {
     /// address is IPv6, or the reuseport bind is refused — all loops
     /// fall back to sharing one listener.
     pub reuseport: bool,
-    /// Spin briefly on zero-timeout polls before parking in
-    /// `epoll_wait`: readiness surfaces without a sleep/wake
-    /// transition, shaving scheduler latency off the tail at the price
-    /// of burning idle CPU. For latency-critical deployments with
-    /// cores to spare.
-    pub busy_poll: bool,
     /// A connection with no complete frame for this long — and no
     /// frame in progress — is evicted.
     pub idle_timeout: Duration,
@@ -162,7 +155,6 @@ impl Default for EventedConfig {
         Self {
             loops: 1,
             reuseport: true,
-            busy_poll: false,
             idle_timeout: Duration::from_secs(60),
             frame_timeout: Duration::from_secs(10),
             max_write_buffer: 1024 * 1024,
@@ -193,9 +185,9 @@ struct Shared {
 
 /// A running event-driven TCP server.
 ///
-/// Like the blocking server, dropping the handle without calling
-/// [`EventedServer::shutdown`] / [`EventedServer::force_shutdown`]
-/// leaks the loop threads until process exit.
+/// Dropping the handle without calling [`EventedServer::shutdown`] /
+/// [`EventedServer::force_shutdown`] leaks the loop threads until
+/// process exit.
 #[derive(Debug)]
 pub struct EventedServer {
     local_addr: SocketAddr,
@@ -267,7 +259,6 @@ impl EventedServer {
         let loops = config.loops.max(1);
         let (listeners, local_addr) = bind_listeners(&addr, loops, config.reuseport)?;
         let telemetry = ServerTelemetry::new(
-            "evented",
             config.slow_trace_threshold,
             config.trace_capacity,
             config.series_capacity,
@@ -654,10 +645,6 @@ const CONN_BASE: u64 = 2;
 const EVENTS_MIN: usize = 256;
 const EVENTS_MAX: usize = 4096;
 
-/// How long [`EventedConfig::busy_poll`] spins on zero-timeout polls
-/// before parking in a blocking wait.
-const BUSY_POLL_SPIN: Duration = Duration::from_micros(200);
-
 struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
@@ -739,28 +726,6 @@ impl EventLoop {
         ((finest.as_millis() / 4).clamp(1, 50)) as i32
     }
 
-    /// One epoll wait honoring the busy-poll mode: spin on
-    /// zero-timeout polls for [`BUSY_POLL_SPIN`] (readiness surfaces
-    /// without a sleep/wake transition), then park normally. Stop
-    /// requests still land promptly in the spin window — the waker
-    /// write makes the loop's epoll readable.
-    fn wait_ready(&self, events: &mut [Event], tick: i32) -> io::Result<usize> {
-        if self.config.busy_poll {
-            let deadline = Instant::now() + BUSY_POLL_SPIN;
-            loop {
-                let n = self.epoll.wait(events, 0)?;
-                if n > 0 {
-                    return Ok(n);
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.epoll.wait(events, tick)
-    }
-
     fn run(&mut self, handler: &dyn RequestHandler, shared: &Shared) {
         self.lane = Some(shared.telemetry.lane(self.loop_id));
         self.affinity = Some(shared.telemetry.affinity_counters());
@@ -769,7 +734,7 @@ impl EventLoop {
         let tick = self.tick_ms();
         loop {
             let wait_start = Instant::now();
-            let n = match self.wait_ready(&mut events, tick) {
+            let n = match self.epoll.wait(&mut events, tick) {
                 Ok(n) => n,
                 Err(_) => break, // epoll itself failed: abandon ship
             };
@@ -840,7 +805,7 @@ impl EventLoop {
                 }
             }
             // Saturation accounting: wall covers the whole iteration
-            // (park and busy-poll spin included), busy only the part
+            // (park included), busy only the part
             // after the kernel returned. busy/wall is the loop's
             // utilization.
             if let Some(lane) = &self.lane {
@@ -1050,8 +1015,7 @@ impl EventLoop {
                             queued
                         }
                         Err(e) => {
-                            // Same contract as the blocking server: a
-                            // typed answer, then the connection ends.
+                            // A typed answer, then the connection ends.
                             let t2 = Instant::now();
                             let answered = queue_response(
                                 conn,
@@ -1235,7 +1199,7 @@ impl EventLoop {
 /// Encodes `response` and appends it to the connection's out-queue
 /// (one segment per frame), advancing `queued_total` by the framed
 /// byte count. An oversize response degrades to the same typed
-/// [`ErrorCode::ResponseTooLarge`] answer the blocking server gives.
+/// [`ErrorCode::ResponseTooLarge`] answer.
 /// Returns `false` only when even the fallback cannot be queued.
 fn queue_response(conn: &mut Conn, response: &Response, scratch: &mut Vec<u8>) -> bool {
     response.encode_into(scratch);
@@ -1294,8 +1258,8 @@ fn flush_out(conn: &mut Conn) -> bool {
 mod tests {
     use super::*;
     use crate::handler::VerifierHandler;
-    use crate::tcp::TcpTransport;
     use crate::transport::Client;
+    use crate::transport::TcpTransport;
     use ropuf_proto::{FaultPlan, FaultyStream, Request, RATE_ONE};
     use ropuf_verifier::{DetectorConfig, Verifier};
 
@@ -1380,18 +1344,11 @@ mod tests {
             );
         }
         // The saturation instruments registered under this loop's lane.
+        assert!(snap.find("server.loop.ready_batch", &[]).is_some());
         assert!(snap
-            .find("server.loop.ready_batch", &[("backend", "evented")])
+            .find("server.worker.busy_ns", &[("worker", "0")])
             .is_some());
-        assert!(snap
-            .find(
-                "server.worker.busy_ns",
-                &[("backend", "evented"), ("worker", "0")]
-            )
-            .is_some());
-        assert!(snap
-            .find("server.conn.first_frame_ns", &[("backend", "evented")])
-            .is_some());
+        assert!(snap.find("server.conn.first_frame_ns", &[]).is_some());
         server.shutdown();
     }
 

@@ -2,8 +2,8 @@
 //! [`Verifier`].
 //!
 //! [`RequestHandler`] is the transport-independent core of the server:
-//! the TCP worker pool and the in-process loopback transport both
-//! funnel decoded [`Request`]s through the same `handle` call, so a
+//! the server's event loops and the in-process loopback transport
+//! both funnel decoded [`Request`]s through the same `handle` call, so a
 //! scenario exercised over loopback is bit-for-bit the scenario the
 //! socket path serves.
 //!
@@ -29,8 +29,8 @@ pub trait RequestHandler: Send + Sync {
     /// Serves one owned request.
     fn handle(&self, request: Request) -> Response;
 
-    /// Serves one borrowed request — the zero-copy path the TCP
-    /// workers decode into. The default copies and delegates;
+    /// Serves one borrowed request — the zero-copy path the server
+    /// decodes into. The default copies and delegates;
     /// production handlers override it to serve straight from the
     /// frame buffer.
     fn handle_ref(&self, request: RequestRef<'_>) -> Response {
@@ -184,10 +184,11 @@ impl RequestHandler for VerifierHandler {
                 }
             }
             RequestRef::BatchAuthenticate { items } => {
-                // Per-worker-thread scratch: the serving threads are a
-                // fixed pool, so this amortizes the shard buckets and
-                // the verdict vector across every batch a worker ever
-                // serves instead of reallocating them per request.
+                // Per-thread scratch: the serving threads are the
+                // server's fixed event loops, so this amortizes the
+                // shard buckets and the verdict vector across every
+                // batch a loop ever serves instead of reallocating
+                // them per request.
                 thread_local! {
                     static BATCH_SCRATCH: std::cell::RefCell<(BatchScratch, Vec<AuthVerdict>)> =
                         std::cell::RefCell::new((BatchScratch::new(), Vec::new()));
@@ -214,27 +215,24 @@ impl RequestHandler for VerifierHandler {
                         .map(|(at, reason)| (at, wire_reason(reason))),
                 }
             }
-            RequestRef::Snapshot => Response::SnapshotText {
-                json: self.verifier.registry().snapshot_json(),
-            },
             RequestRef::SnapshotV2 => Response::SnapshotBin {
                 bytes: self.verifier.snapshot_v2(),
             },
             // The handler answers with the verifier's metrics only; a
-            // server backend in front of this handler intercepts the
+            // server in front of this handler intercepts the
             // request, merges its own `server.*` namespace into the
             // blob, and re-encodes. Over loopback there is no server
             // layer, so the verifier's view is the whole answer.
             RequestRef::MetricsSnapshot => Response::MetricsBin {
                 bytes: self.verifier.telemetry_snapshot().encode(),
             },
-            // Slow-request traces live in the serving backend, not the
+            // Slow-request traces live in the server, not the
             // verifier; standalone (loopback) the ring is empty.
             RequestRef::TraceDump => Response::TraceBin {
                 bytes: ropuf_telemetry::TraceSnapshot::default().encode(),
             },
             // Same story for the time series: the sampler belongs to
-            // the serving backend, so a loopback dump is empty.
+            // the server, so a loopback dump is empty.
             RequestRef::TimeSeriesDump => Response::TimeSeriesBin {
                 bytes: ropuf_telemetry::TimeSeriesSnapshot::default().encode(),
             },
@@ -443,20 +441,6 @@ mod tests {
                     verdicts[1],
                     WireVerdict::Flagged(WireFlagReason::MalformedHelper)
                 );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_is_served() {
-        let h = handler();
-        let device = provisioned(4);
-        enroll(&h, &device, 9);
-        match h.handle(Request::Snapshot) {
-            Response::SnapshotText { json } => {
-                assert!(json.contains("ropuf-verifier/v1"));
-                assert!(json.contains("\"device_id\": 9"));
             }
             other => panic!("unexpected {other:?}"),
         }

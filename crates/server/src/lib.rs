@@ -1,13 +1,13 @@
 //! The network serving surface of the ropuf verifier.
 //!
-//! PR 2 built the defender half — sharded registry, HMAC
-//! authentication, online attack detection — but only as an in-process
-//! library. This crate puts it on the wire: a concurrent TCP server
+//! The verifier crate is the defender half — sharded registry, HMAC
+//! authentication, online attack detection — as an in-process library.
+//! This crate puts it on the wire: one epoll TCP server (Linux)
 //! speaking [`ropuf-wire/v1`](ropuf_proto), an in-process loopback
-//! transport with byte-identical semantics for deterministic tests,
-//! a typed client, and the campaign-driven traffic model the `loadgen`
-//! harness replays against it. Every future scaling PR (async I/O,
-//! caching, replication) builds on this layer.
+//! transport with byte-identical semantics that serves as the
+//! reference for deterministic tests, a typed client, and the
+//! campaign-driven traffic model the `loadgen` harness replays against
+//! it.
 //!
 //! # Pieces
 //!
@@ -15,25 +15,21 @@
 //!   shared [`Verifier`](ropuf_verifier::Verifier); quarantined
 //!   devices are rejected at the wire with
 //!   [`ErrorCode::DeviceFlagged`](ropuf_proto::ErrorCode).
-//! * [`tcp`] — [`TcpServer`]: `std::net::TcpListener` accept loop
-//!   dispatching connections to a fixed worker-thread pool, plus the
-//!   client-side [`TcpTransport`].
 //! * [`evented`] (Linux) — [`EventedServer`]: non-blocking epoll
-//!   readiness loops driving per-connection state machines — the
-//!   many-thousands-of-connections backend, with pipelining, bounded
-//!   buffers, slow-client eviction, and graceful shutdown. Same
-//!   handler, same wire semantics, proven equivalent by the
-//!   `equivalence` test suite.
+//!   readiness loops driving per-connection state machines, with
+//!   pipelining, bounded buffers, slow-client eviction, admission
+//!   control and graceful shutdown. Proven byte-identical to loopback
+//!   by the `equivalence` test suite.
 //! * [`sys`] (Linux) — the in-tree `epoll`, `SO_REUSEPORT`, and
 //!   `writev` syscall wrappers (no `libc` crate; the workspace stays
 //!   dependency-free).
-//! * [`telemetry`] — [`ServerTelemetry`]: backend-labeled request and
-//!   connection metrics, per-message-type phase latency histograms,
-//!   and the slow-request trace ring; scrapeable mid-run over the wire
-//!   via `Request::MetricsSnapshot` / `Request::TraceDump`.
-//! * [`transport`] — the [`Transport`] abstraction, the
-//!   [`LoopbackTransport`] (same handler, full codec, no sockets) and
-//!   the typed [`Client`].
+//! * [`telemetry`] — [`ServerTelemetry`]: request and connection
+//!   metrics, per-message-type phase latency histograms, and the
+//!   slow-request trace ring; scrapeable mid-run over the wire via
+//!   `Request::MetricsSnapshot` / `Request::TraceDump`.
+//! * [`transport`] — the [`Transport`] abstraction, the client-side
+//!   [`TcpTransport`], the [`LoopbackTransport`] (same handler, full
+//!   codec, no sockets) and the typed [`Client`].
 //! * [`traffic`] — [`TrafficPlan`]: deterministic mixed benign/LISA
 //!   workloads built from campaign fleet seeds, replayable over any
 //!   transport.
@@ -52,8 +48,8 @@
 //! assert!(server.starts_with("ropuf-server/"));
 //! ```
 //!
-//! For the socket path, see [`TcpServer`] and the `loadgen` binary in
-//! `crates/bench`.
+//! For the socket path, see `EventedServer` (Linux) and the `loadgen`
+//! binary in `crates/bench`.
 
 // `deny`, not `forbid`: the syscall wrappers in `sys::epoll` and
 // `sys::net` are the sanctioned `#[allow(unsafe_code)]` islands (FFI
@@ -67,7 +63,6 @@ pub mod evented;
 pub mod handler;
 pub mod resilient;
 pub mod sys;
-pub mod tcp;
 pub mod telemetry;
 pub mod traffic;
 pub mod transport;
@@ -79,7 +74,6 @@ pub use handler::{wire_reason, wire_verdict, RequestHandler, VerifierHandler};
 pub use resilient::{
     Deadlines, FaultyTcpTransport, PlanFactory, ResilientClient, RetryCause, RetryPolicy,
 };
-pub use tcp::{TcpServer, TcpTransport};
 pub use telemetry::ServerTelemetry;
 pub use traffic::{DeviceTraffic, Role, TrafficPlan, TrafficSpec};
-pub use transport::{Client, ClientError, LoopbackTransport, Transport};
+pub use transport::{Client, ClientError, LoopbackTransport, TcpTransport, Transport};

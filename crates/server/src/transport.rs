@@ -1,19 +1,21 @@
 //! Client-side transports and the typed protocol client.
 //!
 //! [`Transport`] is one request/response exchange; two implementations
-//! exist — [`TcpTransport`](crate::tcp::TcpTransport) over real
-//! sockets and [`LoopbackTransport`] calling a handler in-process.
+//! exist — [`TcpTransport`] over real sockets and [`LoopbackTransport`]
+//! calling a handler in-process.
 //! The loopback path still **encodes and decodes both directions**
 //! through the `ropuf_proto` codec, so a loopback scenario exercises
 //! byte-identical wire behavior (minus the kernel) and replays
 //! bit-for-bit deterministically — which is what the campaign replay
 //! tests assert.
 
+use std::io;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use ropuf_proto::{
-    AuthItem, AuthItemRef, ErrorCode, FrameError, Request, RequestRef, Response, WireFlagReason,
-    WireVerdict, PROTOCOL_VERSION,
+    AuthItem, AuthItemRef, ErrorCode, FrameError, FrameReader, FrameWriter, Request, RequestRef,
+    Response, WireFlagReason, WireVerdict, PROTOCOL_VERSION,
 };
 
 use ropuf_proto::frame::bound_scratch;
@@ -44,11 +46,12 @@ pub trait Transport {
     }
 }
 
-/// In-process transport: the same handler the TCP workers call,
-/// reached through a full encode/decode of both the request and the
-/// response, without sockets. Deterministic and dependency-free — the
-/// campaign/test path. Requests are decoded with the same borrowing
-/// decoder the socket workers use, so a loopback exchange exercises
+/// In-process transport: the same handler the server's event loops
+/// call, reached through a full encode/decode of both the request and
+/// the response, without sockets. Deterministic and dependency-free —
+/// the campaign/test path and the reference the equivalence suites
+/// compare the server against. Requests are decoded with the same
+/// borrowing decoder the server uses, so a loopback exchange exercises
 /// byte-identical wire behavior (minus the kernel).
 pub struct LoopbackTransport {
     handler: Arc<dyn RequestHandler>,
@@ -75,7 +78,7 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn roundtrip_frame(&mut self, request_payload: &[u8]) -> Result<Response, FrameError> {
-        // Borrowing decode, exactly as the socket workers do.
+        // Borrowing decode, exactly as the server does.
         let decoded = RequestRef::decode(request_payload)?;
         let response = self.handler.handle_ref(decoded);
         // And the response takes the same trip back.
@@ -83,6 +86,72 @@ impl Transport for LoopbackTransport {
         let decoded = Response::decode(&self.response_scratch)?;
         bound_scratch(&mut self.response_scratch);
         Ok(decoded)
+    }
+}
+
+/// Client-side transport over a connected [`TcpStream`].
+#[derive(Debug)]
+pub struct TcpTransport {
+    reader: FrameReader<TcpStream>,
+    writer: FrameWriter<TcpStream>,
+}
+
+impl TcpTransport {
+    /// Connects to a server.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection/clone failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        Self::from_stream(stream)
+    }
+
+    /// Connects under [`Deadlines`](crate::resilient::Deadlines): the
+    /// dial, every read, and every write each get a finite budget, so
+    /// a wedged server surfaces as `io::ErrorKind::TimedOut`/
+    /// `WouldBlock` instead of hanging the client forever.
+    ///
+    /// # Errors
+    ///
+    /// Propagates resolution, connection, configuration, and clone
+    /// failures.
+    pub fn connect_with_deadlines(
+        addr: impl ToSocketAddrs,
+        deadlines: &crate::resilient::Deadlines,
+    ) -> io::Result<Self> {
+        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+        })?;
+        let stream = match deadlines.connect {
+            Some(timeout) => TcpStream::connect_timeout(&resolved, timeout)?,
+            None => TcpStream::connect(resolved)?,
+        };
+        stream.set_read_timeout(deadlines.read)?;
+        stream.set_write_timeout(deadlines.write)?;
+        Self::from_stream(stream)
+    }
+
+    fn from_stream(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true).ok(); // latency over batching
+        let write_half = stream.try_clone()?;
+        Ok(Self {
+            reader: FrameReader::new(stream),
+            writer: FrameWriter::new(write_half),
+        })
+    }
+}
+
+impl Transport for TcpTransport {
+    fn roundtrip_frame(&mut self, request_payload: &[u8]) -> Result<Response, FrameError> {
+        self.writer.write_frame(request_payload)?;
+        match self.reader.read_response()? {
+            Some(response) => Ok(response),
+            None => Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-exchange",
+            ))),
+        }
     }
 }
 
@@ -272,18 +341,6 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// A `ropuf-verifier/v1` registry snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Transport/shape failures.
-    pub fn snapshot(&mut self) -> Result<String, ClientError> {
-        match self.exchange(&Request::Snapshot)? {
-            Response::SnapshotText { json } => Ok(json),
-            _ => Err(ClientError::UnexpectedResponse("SnapshotText")),
-        }
-    }
-
     /// A `ropuf-verifier/v2` binary registry snapshot — the compact,
     /// CRC-protected, flag-preserving format; the bytes load directly
     /// via `Verifier::from_snapshot_v2`.
@@ -299,7 +356,7 @@ impl<T: Transport> Client<T> {
     }
 
     /// A live `ropuf-metrics/v1` scrape of the serving stack: the
-    /// server backend's own metrics merged with the verifier's. Decoded
+    /// server's own metrics merged with the verifier's. Decoded
     /// and CRC-verified client-side;
     /// [`Snapshot::render_text`](ropuf_telemetry::Snapshot::render_text)
     /// turns the result into the human view.
@@ -319,7 +376,7 @@ impl<T: Transport> Client<T> {
 
     /// The server's slow-request trace ring as a decoded
     /// `ropuf-trace/v1` snapshot (empty over loopback — traces live in
-    /// the serving backends).
+    /// the server).
     ///
     /// # Errors
     ///
@@ -336,7 +393,7 @@ impl<T: Transport> Client<T> {
 
     /// The server's in-memory time-series history as a decoded
     /// `ropuf-timeseries/v1` snapshot: one delta point per sampler
-    /// interval (empty over loopback, or when the backend's sampler is
+    /// interval (empty over loopback, or when the server's sampler is
     /// disabled).
     ///
     /// # Errors
@@ -357,9 +414,8 @@ impl<T: Transport> Client<T> {
 
     /// Which event loop this connection landed on: `(loop_id, loops)`.
     ///
-    /// Multi-loop evented servers answer with the accepting loop's
-    /// coordinates; single-threaded backends (and loopback) answer
-    /// `(0, 1)`. Topology-aware clients use this to steer device
+    /// The server answers with the accepting loop's coordinates;
+    /// loopback answers `(0, 1)`. Topology-aware clients use this to steer device
     /// traffic onto connections owned by the device's shard-affine
     /// loop.
     ///
@@ -400,13 +456,6 @@ mod tests {
         let err = client.query_verdict(12345).unwrap_err();
         assert_eq!(err.error_code(), Some(ErrorCode::UnknownDevice));
         assert!(err.to_string().contains("12345"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_over_loopback() {
-        let mut client = loopback_client();
-        let json = client.snapshot().unwrap();
-        assert!(json.contains("ropuf-verifier/v1"));
     }
 
     #[test]

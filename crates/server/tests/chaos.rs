@@ -3,9 +3,10 @@
 //! answers** as a fault-free run.
 //!
 //! The reference `TrafficPlan` (8 devices, benign + real LISA attack
-//! trajectories) is replayed four times — fault-free and under chaos,
-//! on both the blocking worker-pool backend and the evented epoll
-//! backend. The chaos runs inject, deterministically from seeds:
+//! trajectories) is replayed against the evented epoll server twice —
+//! fault-free and under chaos — and once through the in-process
+//! loopback transport, the reference. The chaos run injects,
+//! deterministically from seeds:
 //!
 //! * **client-side**: partial reads/writes (re-chunking every frame),
 //!   injected delays, a connection reset pinned mid-request-write
@@ -18,7 +19,7 @@
 //!   the registry read-only.
 //!
 //! Every authentication and flag-query response payload is collected
-//! in order and compared byte-for-byte across all four runs. After the
+//! in order and compared byte-for-byte across all three runs. After the
 //! chaos replay the read-only latch must be observable at the wire
 //! (a fresh `Enroll` answers `ReadOnly`) and in the merged metrics
 //! (`server.degraded_transitions`, `faults.injected{kind}`).
@@ -31,8 +32,8 @@ use std::sync::Arc;
 
 use ropuf_proto::{derive_seed, ErrorCode, FaultPlan, Request, RATE_ONE};
 use ropuf_server::{
-    Deadlines, EventedConfig, EventedServer, RequestHandler, ResilientClient, RetryPolicy, Role,
-    TcpServer, TrafficPlan, TrafficSpec, VerifierHandler,
+    Deadlines, EventedConfig, EventedServer, LoopbackTransport, ResilientClient, RetryPolicy, Role,
+    TrafficPlan, TrafficSpec, Transport, VerifierHandler,
 };
 use ropuf_verifier::{DetectorConfig, StoreFaults, StoreOptions, Verifier};
 
@@ -192,61 +193,32 @@ fn replay_resilient(
     (responses, retries, reconnects)
 }
 
-/// One backend's full fault-free + chaos comparison, returning both
-/// byte streams for the cross-backend assertions.
-fn run_backend(plan: &TrafficPlan, evented: bool) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let tag = if evented { "evented" } else { "blocking" };
-
-    // Fault-free reference.
-    let clean_dir = scratch_dir(&format!("{tag}-clean"));
-    let clean_handler = durable_handler(&clean_dir, None);
-    let (clean, clean_addr_used) = serve(plan, clean_handler.clone(), evented, None);
-    assert!(clean_addr_used, "reference replay served");
-    let _ = std::fs::remove_dir_all(&clean_dir);
-
-    // Chaos run: client faults + pinned WAL flag-append fault.
-    let chaos_dir = scratch_dir(&format!("{tag}-chaos"));
-    let chaos_handler = durable_handler(&chaos_dir, Some(wal_fault(plan)));
-    let (chaos, _) = serve(
-        plan,
-        chaos_handler.clone(),
-        evented,
-        Some(0xFA_57 + u64::from(evented)),
-    );
-    let _ = std::fs::remove_dir_all(&chaos_dir);
-
-    assert_eq!(
-        clean.len(),
-        chaos.len(),
-        "{tag}: both runs answer every auth + flag query"
-    );
-    assert_eq!(
-        clean, chaos,
-        "{tag}: chaos must not change a single served byte"
-    );
-    (clean, chaos)
+/// The same fleet and traffic through the loopback transport — the
+/// reference the served bytes must equal.
+fn replay_loopback(plan: &TrafficPlan) -> Vec<Vec<u8>> {
+    let verifier = Arc::new(Verifier::new(4, DetectorConfig::default()));
+    let results = verifier.enroll_batch(plan.enrollments());
+    assert!(results.iter().all(Result::is_ok), "fresh ids enroll");
+    let mut transport = LoopbackTransport::new(Arc::new(VerifierHandler::new(verifier)));
+    device_requests(plan)
+        .iter()
+        .flat_map(|(_, requests)| requests)
+        .map(|request| {
+            transport
+                .roundtrip(request)
+                .expect("loopback cannot fail")
+                .encode()
+        })
+        .collect()
 }
 
-/// Spawns the chosen backend, replays, asserts the chaos-only
+/// Spawns the evented server, replays, asserts the chaos-only
 /// postconditions (read-only latch at the wire and in the metrics),
 /// and shuts down. Returns the response byte stream.
-fn serve(
-    plan: &TrafficPlan,
-    handler: Arc<VerifierHandler>,
-    evented: bool,
-    chaos: Option<u64>,
-) -> (Vec<Vec<u8>>, bool) {
-    let dyn_handler: Arc<dyn RequestHandler> = handler.clone();
-    let (addr, shutdown): (SocketAddr, Box<dyn FnOnce()>) = if evented {
-        let server = EventedServer::spawn("127.0.0.1:0", dyn_handler, EventedConfig::default())
-            .expect("bind evented");
-        let addr = server.local_addr();
-        (addr, Box::new(move || server.shutdown()))
-    } else {
-        let server = TcpServer::spawn("127.0.0.1:0", dyn_handler, 3).expect("bind blocking");
-        let addr = server.local_addr();
-        (addr, Box::new(move || server.shutdown()))
-    };
+fn serve(plan: &TrafficPlan, handler: Arc<VerifierHandler>, chaos: Option<u64>) -> Vec<Vec<u8>> {
+    let server = EventedServer::spawn("127.0.0.1:0", handler.clone(), EventedConfig::default())
+        .expect("bind evented");
+    let addr = server.local_addr();
 
     let (responses, retries, reconnects) = replay_resilient(plan, addr, chaos);
 
@@ -297,8 +269,8 @@ fn serve(
         assert!(!handler.read_only(), "fault-free run must not latch");
     }
 
-    shutdown();
-    (responses, true)
+    server.shutdown();
+    responses
 }
 
 #[test]
@@ -310,18 +282,36 @@ fn chaos_replay_is_bit_for_bit_identical_on_both_backends() {
          transitions drive the faulted WAL append)"
     );
 
-    let (blocking_clean, _) = run_backend(&plan, false);
-    let (evented_clean, _) = run_backend(&plan, true);
+    // Fault-free run.
+    let clean_dir = scratch_dir("clean");
+    let clean = serve(&plan, durable_handler(&clean_dir, None), None);
+    let _ = std::fs::remove_dir_all(&clean_dir);
+
+    // Chaos run: client faults + pinned WAL flag-append fault.
+    let chaos_dir = scratch_dir("chaos");
+    let chaos = serve(
+        &plan,
+        durable_handler(&chaos_dir, Some(wal_fault(&plan))),
+        Some(0xFA_58),
+    );
+    let _ = std::fs::remove_dir_all(&chaos_dir);
 
     assert_eq!(
-        blocking_clean, evented_clean,
-        "blocking vs evented response bytes under identical traffic"
+        clean.len(),
+        chaos.len(),
+        "both runs answer every auth + flag query"
+    );
+    assert_eq!(clean, chaos, "chaos must not change a single served byte");
+    assert_eq!(
+        clean,
+        replay_loopback(&plan),
+        "evented vs loopback response bytes under identical traffic"
     );
 
     // The shared byte stream still carries the attack outcome.
     let mut cursor = 0;
     for device in &plan.devices {
-        let span = &blocking_clean[cursor..cursor + device.requests.len() + 1];
+        let span = &clean[cursor..cursor + device.requests.len() + 1];
         cursor += device.requests.len() + 1;
         let flagged = span[..span.len() - 1].iter().any(|payload| {
             matches!(

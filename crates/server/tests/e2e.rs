@@ -1,21 +1,24 @@
 //! End-to-end serving tests.
 //!
-//! 1. **Real sockets** — spawn the TCP server on an ephemeral
-//!    localhost port, then enroll, authenticate, and flag an attacker
-//!    entirely over the wire, from multiple concurrent client
+//! 1. **Real sockets** (Linux) — spawn the evented server on an
+//!    ephemeral localhost port, then enroll, authenticate, and flag an
+//!    attacker entirely over the wire, from multiple concurrent client
 //!    connections.
 //! 2. **Deterministic loopback replay** — the same traffic plan built
 //!    twice and replayed through two fresh loopback stacks must
 //!    produce byte-identical response streams (requests already
 //!    compare equal by construction).
 
+// The socket tests need the Linux-only evented server; elsewhere only
+// the loopback replay runs.
+#![cfg_attr(not(target_os = "linux"), allow(unused))]
+
 use std::sync::Arc;
 
 use ropuf_proto::{AuthItem, ErrorCode, Request, WireAuthResponse, WireFlagReason, WireVerdict};
-use ropuf_server::{
-    Client, LoopbackTransport, RequestHandler, TcpServer, TcpTransport, TrafficPlan, TrafficSpec,
-    VerifierHandler,
-};
+#[cfg(target_os = "linux")]
+use ropuf_server::{Client, EventedConfig, EventedServer, TcpTransport};
+use ropuf_server::{LoopbackTransport, RequestHandler, TrafficPlan, TrafficSpec, VerifierHandler};
 use ropuf_verifier::{DetectorConfig, Verifier};
 
 use rand::rngs::StdRng;
@@ -50,11 +53,19 @@ fn genuine_item(device: &mut Device, id: u64, now: u64, nonce: &[u8]) -> AuthIte
     }
 }
 
+/// The evented server on an ephemeral localhost port, default config.
+#[cfg(target_os = "linux")]
+fn serve(verifier: &Arc<Verifier>) -> EventedServer {
+    let handler = Arc::new(VerifierHandler::new(Arc::clone(verifier)));
+    EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default())
+        .expect("bind ephemeral port")
+}
+
+#[cfg(target_os = "linux")]
 #[test]
 fn enroll_authenticate_and_flag_over_real_sockets() {
     let verifier = Arc::new(Verifier::new(4, DetectorConfig::default()));
-    let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 2).expect("bind ephemeral port");
+    let server = serve(&verifier);
     let addr = server.local_addr();
 
     let mut client = Client::new(TcpTransport::connect(addr).expect("connect"));
@@ -124,19 +135,24 @@ fn enroll_authenticate_and_flag_over_real_sockets() {
     );
     assert_eq!(second.query_verdict(10).unwrap(), None, "genuine unflagged");
 
-    // Snapshot travels the wire and names both devices.
-    let snapshot = second.snapshot().unwrap();
-    assert!(snapshot.contains("\"device_id\": 10"));
-    assert!(snapshot.contains("\"device_id\": 11"));
+    // The snapshot travels the wire, names both devices, and carries
+    // the quarantine.
+    let snapshot = second.snapshot_v2().unwrap();
+    let restored = Verifier::from_snapshot_v2(&snapshot, DetectorConfig::default()).unwrap();
+    assert_eq!(restored.registry().len(), 2);
+    assert!(restored.registry().record(10).is_some());
+    assert!(restored.registry().record(11).is_some());
+    assert!(verifier.flag_info(11).is_some());
+    assert_eq!(restored.flag_info(11), verifier.flag_info(11));
 
     server.shutdown();
 }
 
+#[cfg(target_os = "linux")]
 #[test]
 fn concurrent_connections_share_one_registry() {
     let verifier = Arc::new(Verifier::new(8, DetectorConfig::default()));
-    let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 4).expect("bind");
+    let server = serve(&verifier);
     let addr = server.local_addr();
 
     std::thread::scope(|scope| {
@@ -156,34 +172,44 @@ fn concurrent_connections_share_one_registry() {
 
     let mut client = Client::new(TcpTransport::connect(addr).expect("connect"));
     client.hello("checker").unwrap();
-    let snapshot = client.snapshot().unwrap();
-    let enrolled = snapshot.matches("\"device_id\"").count();
-    assert_eq!(enrolled, 80, "all 4 connections' enrollments landed");
+    let snapshot = client.snapshot_v2().unwrap();
+    let restored = Verifier::from_snapshot_v2(&snapshot, DetectorConfig::default()).unwrap();
+    assert_eq!(
+        restored.registry().len(),
+        80,
+        "all 4 connections' enrollments landed"
+    );
     server.shutdown();
 }
 
-#[test]
-fn malformed_frames_get_a_typed_error_not_a_crash() {
+/// Sends one hand-rolled frame carrying `payload` on a raw stream and
+/// returns the server's answer, read to EOF.
+#[cfg(target_os = "linux")]
+fn raw_exchange(addr: std::net::SocketAddr, payload: &[u8]) -> ropuf_proto::Response {
     use std::io::{Read, Write};
 
-    let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-    let handler = Arc::new(VerifierHandler::new(verifier));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
-    let addr = server.local_addr();
-
-    // Hand-rolled hostile frame: valid length prefix, garbage payload.
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    let payload = [0xEEu8, 1, 2, 3];
     stream
         .write_all(&(payload.len() as u32).to_le_bytes())
         .unwrap();
-    stream.write_all(&payload).unwrap();
+    stream.write_all(payload).unwrap();
     let mut answer = Vec::new();
     stream.read_to_end(&mut answer).unwrap();
-    let response = ropuf_proto::FrameReader::new(&answer[..])
+    ropuf_proto::FrameReader::new(&answer[..])
         .read_response()
         .unwrap()
-        .expect("server answers before closing");
+        .expect("server answers before closing")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn malformed_frames_get_a_typed_error_not_a_crash() {
+    let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
+    let server = serve(&verifier);
+    let addr = server.local_addr();
+
+    // Hand-rolled hostile frame: valid length prefix, garbage payload.
+    let response = raw_exchange(addr, &[0xEE, 1, 2, 3]);
     assert!(matches!(
         response,
         ropuf_proto::Response::Error {
@@ -198,15 +224,32 @@ fn malformed_frames_get_a_typed_error_not_a_crash() {
     server.shutdown();
 }
 
+/// The retired `0x06` (v1 JSON snapshot) request byte is unknown to
+/// the decoder: a bare 0x06 frame is answered with a typed
+/// `MalformedRequest`, like any other garbage.
+#[cfg(target_os = "linux")]
+#[test]
+fn retired_snapshot_request_is_a_typed_malformed_request() {
+    let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
+    let server = serve(&verifier);
+    match raw_exchange(server.local_addr(), &[0x06]) {
+        ropuf_proto::Response::Error { code, detail } => {
+            assert_eq!(code, ErrorCode::MalformedRequest, "{detail}");
+        }
+        other => panic!("expected a typed MalformedRequest, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[cfg(target_os = "linux")]
 #[test]
 fn oversize_snapshot_is_a_typed_error_and_connection_survives() {
     let verifier = Arc::new(Verifier::new(2, DetectorConfig::default()));
-    let handler = Arc::new(VerifierHandler::new(Arc::clone(&verifier)));
-    let server = TcpServer::spawn("127.0.0.1:0", handler, 1).expect("bind");
+    let server = serve(&verifier);
 
-    // Enroll enough jumbo helpers that the snapshot JSON (hex doubles
-    // the helper bytes) exceeds the 4 MiB frame cap.
-    for id in 0..40u64 {
+    // Enroll enough jumbo helpers that the v2 snapshot exceeds the
+    // 4 MiB frame cap.
+    for id in 0..80u64 {
         verifier
             .registry()
             .enroll(
@@ -220,13 +263,13 @@ fn oversize_snapshot_is_a_typed_error_and_connection_survives() {
             .unwrap();
     }
     assert!(
-        verifier.registry().snapshot_json().len() > ropuf_proto::MAX_FRAME as usize,
+        verifier.snapshot_v2().len() > ropuf_proto::MAX_FRAME as usize,
         "test precondition: snapshot must exceed the frame cap"
     );
 
     let mut client = Client::new(TcpTransport::connect(server.local_addr()).expect("connect"));
     client.hello("jumbo").unwrap();
-    let err = client.snapshot().unwrap_err();
+    let err = client.snapshot_v2().unwrap_err();
     assert_eq!(err.error_code(), Some(ErrorCode::ResponseTooLarge));
     // The connection is still frame-aligned and serviceable.
     assert_eq!(client.query_verdict(0).unwrap(), None);

@@ -1,13 +1,13 @@
-//! Backend equivalence: the blocking worker-pool server, the evented
-//! epoll server, and the in-process loopback transport must be
-//! **bit-for-bit indistinguishable** at the wire.
+//! Serving equivalence: the evented epoll server and the in-process
+//! loopback transport (the reference) must be **bit-for-bit
+//! indistinguishable** at the wire.
 //!
 //! The existing `TrafficPlan` (benign rounds across three
 //! constructions plus recorded real LISA attack trajectories) is
-//! replayed through a fresh serving stack per backend; every encoded
+//! replayed through a fresh serving stack per run; every encoded
 //! response byte — including the `DeviceFlagged` wire errors the
 //! attacked devices must draw — is collected in order and compared
-//! across backends. A second pass replays the same traffic *pipelined*
+//! against loopback. A second pass replays the same traffic *pipelined*
 //! (each device's whole request burst written before reading anything)
 //! through the evented server and must still produce the identical
 //! byte sequence: pipelining may change scheduling, never answers.
@@ -23,7 +23,7 @@ use ropuf_proto::{
     ErrorCode, FrameReader, FrameWriter, Request, RequestRef, Response, WireFlagReason,
 };
 use ropuf_server::{
-    EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TcpServer, TrafficPlan,
+    EventedConfig, EventedServer, LoopbackTransport, RequestHandler, Role, TrafficPlan,
     TrafficSpec, Transport, VerifierHandler,
 };
 use ropuf_verifier::{DetectorConfig, StoreOptions, Verifier};
@@ -147,11 +147,6 @@ fn all_backends_serve_bit_for_bit_identical_responses() {
         "equivalence must cover attacked devices"
     );
 
-    let blocking_server =
-        TcpServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), 3).expect("bind blocking");
-    let blocking = replay_sequential(&plan, blocking_server.local_addr());
-    blocking_server.shutdown();
-
     let evented_server = EventedServer::spawn(
         "127.0.0.1:0",
         enrolled_handler(&plan, 4),
@@ -164,19 +159,18 @@ fn all_backends_serve_bit_for_bit_identical_responses() {
     let loopback = replay_loopback(&plan, enrolled_handler(&plan, 4));
 
     assert_eq!(
-        blocking.len(),
+        evented.len(),
         plan.total_requests() + plan.devices.len(),
         "one answer per request plus one flag query per device"
     );
-    assert_eq!(blocking, evented, "blocking vs evented response bytes");
-    assert_eq!(blocking, loopback, "socket vs loopback response bytes");
+    assert_eq!(evented, loopback, "socket vs loopback response bytes");
 
     // The shared byte stream carries the attack outcome: every
     // attacked device drew a DeviceFlagged wire error, no benign
     // device did, and the final flag queries agree.
     let mut cursor = 0;
     for device in &plan.devices {
-        let span = &blocking[cursor..cursor + device.requests.len() + 1];
+        let span = &evented[cursor..cursor + device.requests.len() + 1];
         cursor += device.requests.len() + 1;
         let flagged = span[..span.len() - 1].iter().any(|payload| {
             matches!(
@@ -291,9 +285,8 @@ fn recovered_registry_replays_bit_for_bit_identically() {
         "one flag transition per attacker was logged and replayed"
     );
 
-    // Flag persistence across the crash, exact to (at, reason) — the
-    // silent detector-state reset of the v1 snapshot path must not
-    // exist on the durable path.
+    // Flag persistence across the crash, exact to (at, reason) — a
+    // restart must never silently reset detector state.
     for device in &plan.devices {
         assert_eq!(
             recovered.flag_info(device.device_id),
@@ -365,6 +358,11 @@ fn full_tracing_does_not_change_the_byte_stream() {
     // The concurrent sampler really did cut points while serving. (The
     // exact telescoping property is proven in `metrics_props`; here the
     // ring may have wrapped, so only the upper bound is asserted.)
+    assert_eq!(
+        traced_server.requests_served(),
+        expected,
+        "the server counts exactly one request per answer"
+    );
     let probe = Instant::now();
     while traced_server.telemetry().timeseries_snapshot().sampled == 0
         && probe.elapsed() < Duration::from_secs(5)
@@ -383,19 +381,11 @@ fn full_tracing_does_not_change_the_byte_stream() {
         default_bytes, traced_bytes,
         "tracing every request must not change a single served byte"
     );
-
-    // The blocking backend under the same traffic also agrees (its
-    // telemetry is always on — parity with the pre-telemetry suite).
-    let blocking_server =
-        TcpServer::spawn("127.0.0.1:0", enrolled_handler(&plan, 4), 3).expect("bind blocking");
-    let blocking_bytes = replay_sequential(&plan, blocking_server.local_addr());
     assert_eq!(
-        blocking_server.requests_served(),
-        blocking_bytes.len() as u64,
-        "blocking backend counts exactly one request per answer"
+        default_bytes,
+        replay_loopback(&plan, enrolled_handler(&plan, 4)),
+        "socket vs loopback"
     );
-    blocking_server.shutdown();
-    assert_eq!(default_bytes, blocking_bytes, "blocking vs evented");
 }
 
 #[test]
@@ -418,9 +408,9 @@ fn shard_count_does_not_change_the_byte_stream() {
 
 /// Loop topology equivalence: however the evented server is sharded —
 /// one loop or four, per-loop `SO_REUSEPORT` accept queues or one
-/// shared listener — the served bytes are identical, sequential and
-/// pipelined alike. Multi-loop is a scheduling optimization; it may
-/// never leak into an answer.
+/// shared listener — the served bytes are identical to loopback's,
+/// sequential and pipelined alike. Multi-loop is a scheduling
+/// optimization; it may never leak into an answer.
 #[test]
 fn loop_topology_does_not_change_the_byte_stream() {
     let plan = TrafficPlan::build(&spec());
@@ -451,11 +441,11 @@ fn loop_topology_does_not_change_the_byte_stream() {
             server.shutdown();
         }
     }
-    let (baseline_key, baseline) = &sequential_streams[0];
-    for (key, stream) in &sequential_streams[1..] {
+    let baseline = &replay_loopback(&plan, enrolled_handler(&plan, 4));
+    for (key, stream) in &sequential_streams {
         assert_eq!(
             baseline, stream,
-            "sequential bytes diverged: {baseline_key:?} vs {key:?}"
+            "sequential bytes diverged from loopback under topology {key:?}"
         );
     }
     for (key, stream) in &pipelined_streams {

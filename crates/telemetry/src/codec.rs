@@ -45,12 +45,13 @@
 //! ```
 //!
 //! This crate is dependency-free below `ropuf_numeric`, so it carries
-//! its own little-endian cursor and CRC-32 rather than borrowing
-//! `ropuf_proto`'s (the verifier must export metrics without linking
-//! the wire protocol).
+//! its own little-endian cursor rather than borrowing `ropuf_proto`'s
+//! (the verifier must export metrics without linking the wire
+//! protocol); the CRC-32 is `ropuf_numeric`'s.
 
 use std::fmt;
 
+use ropuf_numeric::crc32;
 use ropuf_numeric::histogram::BUCKETS;
 use ropuf_numeric::SparseHistogramError;
 
@@ -71,37 +72,6 @@ pub const TRACE_MAGIC: &[u8; 8] = b"RPUFTRC1";
 pub const TIMESERIES_MAGIC: &[u8; 8] = b"RPUFTSR1";
 /// Version both codecs currently speak.
 pub const CODEC_VERSION: u16 = 1;
-
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table built at compile
-// time — the same polynomial the durable store and its WAL use.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// Why a metrics or trace blob failed to decode. Decoding never panics
 /// and never over-reads.

@@ -36,9 +36,7 @@ pub mod registry;
 pub mod timeseries;
 pub mod trace;
 
-pub use codec::{
-    crc32, MetricsDecodeError, CODEC_VERSION, METRICS_MAGIC, TIMESERIES_MAGIC, TRACE_MAGIC,
-};
+pub use codec::{MetricsDecodeError, CODEC_VERSION, METRICS_MAGIC, TIMESERIES_MAGIC, TRACE_MAGIC};
 pub use metrics::{Counter, Gauge, TimerHistogram, STRIPES};
 pub use registry::{
     HistogramSnapshot, MetricSample, MetricValue, Registry, Snapshot, MAX_LABELS, MAX_LABEL_KEY,

@@ -1,7 +1,7 @@
 //! The metric registry and its point-in-time [`Snapshot`].
 //!
 //! A [`Registry`] is an instantiable (not process-global) namespace of
-//! named, labeled metrics. Each server backend and each verifier owns
+//! named, labeled metrics. Each server and each verifier owns
 //! its own registry, so tests running many stacks in one process never
 //! see each other's numbers; a registry clone is a cheap handle onto
 //! the same metrics. Registration (`counter`/`gauge`/`histogram`) takes

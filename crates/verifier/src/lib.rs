@@ -17,9 +17,8 @@
 //!   `{scheme tag, helper bytes, key digest}`, hashed across N shards
 //!   with per-shard locks so concurrent enrollment and authentication
 //!   scale across threads. Entries live in per-shard slabs indexed by
-//!   compact `u32` handles. Snapshots save as `ropuf-verifier/v2`
-//!   binary ([`ShardedRegistry::snapshot_v2`]); the legacy
-//!   `ropuf-verifier/v1` JSON format still loads.
+//!   compact `u32` handles. Snapshots save and load as
+//!   `ropuf-verifier/v2` binary ([`ShardedRegistry::snapshot_v2`]).
 //! * [`store`] — the durable storage layer: the v2 binary snapshot
 //!   codec, the CRC-framed write-ahead log of enrollments and flag
 //!   transitions, fsync'd segment rotation, compaction, and
@@ -35,8 +34,6 @@
 //!   [`Verifier::authenticate_batch`] variant, serving mixed fleets of
 //!   all four constructions; also the client-side helpers that turn a
 //!   [`Device`](ropuf_constructions::Device) into verifier traffic.
-//! * [`json`] — the minimal JSON reader the snapshot loader uses (the
-//!   offline crate set has no `serde`).
 //!
 //! # Authentication protocol
 //!
@@ -86,16 +83,12 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod json;
 pub mod registry;
 pub mod service;
 pub mod store;
 
 pub use detector::{AuthVerdict, DetectorConfig, DeviceDetector, FlagReason};
-pub use registry::{
-    shard_for, DeviceHandle, EnrollmentRecord, RegistryError, ShardedRegistry, SnapshotError,
-    SCHEMA,
-};
+pub use registry::{shard_for, DeviceHandle, EnrollmentRecord, RegistryError, ShardedRegistry};
 pub use service::{
     auth_key, client_tag, device_auth_response, AuthQuery, AuthRequest, BatchEnrollment,
     BatchScratch, Verifier,

@@ -22,17 +22,12 @@
 //!
 //! # Persistence
 //!
-//! Two snapshot formats and a write-ahead log:
+//! One snapshot format and a write-ahead log:
 //!
-//! * `ropuf-verifier/v1` — the legacy hand-rolled JSON snapshot
-//!   ([`ShardedRegistry::snapshot_json`] /
-//!   [`ShardedRegistry::from_snapshot`]). Still loads; **new saves
-//!   should emit v2** (see [`crate::store`]), and
-//!   [`ShardedRegistry::load_snapshot_auto`] sniffs either format, so
-//!   migration is "load whatever you have, save v2".
 //! * `ropuf-verifier/v2` — the length-prefixed, CRC-protected binary
-//!   format in [`crate::store::snapshot`], which also persists flag
-//!   state (v1 silently reset detectors on load).
+//!   snapshot in [`crate::store::snapshot`], flag state included
+//!   ([`ShardedRegistry::snapshot_v2`] /
+//!   [`ShardedRegistry::from_snapshot_v2`]).
 //! * The WAL ([`crate::store::wal`]) — when a registry is opened
 //!   durably ([`crate::Verifier::open_durable`]), every enrollment and
 //!   every flag transition is appended to an fsync-rotated segment log
@@ -44,17 +39,12 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use ropuf_constructions::scheme_name_of_tag;
 use ropuf_hash::HmacKey;
 use ropuf_numeric::splitmix64 as mix;
 
 use crate::detector::{DetectorConfig, DeviceDetector, FlagReason};
-use crate::json::{self, JsonValue};
 use crate::store::snapshot::{self, SnapshotV2Error};
 use crate::store::DeviceStore;
-
-/// Version tag embedded in every v1 (JSON) registry snapshot.
-pub const SCHEMA: &str = "ropuf-verifier/v1";
 
 /// Largest shard count a snapshot may request — a hard cap against
 /// resource exhaustion via a forged `shards` field (snapshots are
@@ -121,33 +111,6 @@ impl fmt::Display for RegistryError {
 }
 
 impl std::error::Error for RegistryError {}
-
-/// Snapshot load errors (v1 JSON; v2 loads report
-/// [`SnapshotV2Error`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotError {
-    /// The document is not valid JSON.
-    Json(String),
-    /// The document parses but violates the `ropuf-verifier/v1` shape.
-    Schema(&'static str),
-    /// A hex field failed to decode.
-    Hex(&'static str),
-    /// Two devices share an id.
-    Duplicate(u64),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Json(e) => write!(f, "snapshot is not valid JSON: {e}"),
-            SnapshotError::Schema(what) => write!(f, "snapshot schema violation: {what}"),
-            SnapshotError::Hex(field) => write!(f, "snapshot field {field} is not valid hex"),
-            SnapshotError::Duplicate(id) => write!(f, "snapshot enrolls device {id} twice"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// One slab entry: the durable record plus the device's detector
 /// runtime state, co-located so a single shard lock covers an entire
@@ -512,7 +475,7 @@ impl ShardedRegistry {
     }
 
     /// Dumps every device sorted by id: `(id, record, flag)` — the
-    /// shared source for both snapshot encoders.
+    /// snapshot encoder's input.
     pub(crate) fn dump(&self) -> Vec<(u64, EnrollmentRecord, Option<(u64, FlagReason)>)> {
         let mut devices: Vec<(u64, EnrollmentRecord, Option<(u64, FlagReason)>)> = Vec::new();
         for shard in &self.shards {
@@ -525,36 +488,6 @@ impl ShardedRegistry {
         }
         devices.sort_unstable_by_key(|(id, _, _)| *id);
         devices
-    }
-
-    /// Serializes the registry under the legacy `ropuf-verifier/v1`
-    /// JSON schema (fixed key order, devices sorted by id —
-    /// byte-identical for the same enrolled set regardless of
-    /// enrollment order or shard count, apart from the recorded
-    /// `shards` field itself). Flag state is **not** representable in
-    /// v1; new saves should use [`ShardedRegistry::snapshot_v2`].
-    pub fn snapshot_json(&self) -> String {
-        let devices = self.dump();
-        let mut out = String::with_capacity(128 + 160 * devices.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards.len()));
-        out.push_str("  \"devices\": [\n");
-        for (i, (id, record, _)) in devices.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"device_id\": {id}, \"scheme\": \"{}\", \"scheme_tag\": {}, \"helper\": \"{}\", \"key_digest\": \"{}\"}}",
-                scheme_name_of_tag(record.scheme_tag).unwrap_or("unknown"),
-                record.scheme_tag,
-                json::to_hex(&record.helper),
-                json::to_hex(&record.key_digest),
-            ));
-            if i + 1 < devices.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
     }
 
     /// Serializes the registry as a `ropuf-verifier/v2` binary
@@ -583,97 +516,6 @@ impl ShardedRegistry {
             registry
                 .enroll_recovered(device.device_id, device.record, device.flag)
                 .map_err(|_| SnapshotV2Error::DuplicateDevice(device.device_id))?;
-        }
-        Ok(registry)
-    }
-
-    /// Loads a snapshot in either format, sniffing the magic bytes:
-    /// the explicit migration path from v1 deployments ("load whatever
-    /// is on disk, save v2").
-    ///
-    /// # Errors
-    ///
-    /// The v2 decoder's error when the magic matches v2, otherwise the
-    /// v1 JSON loader's error boxed into [`SnapshotError`].
-    pub fn load_snapshot_auto(
-        bytes: &[u8],
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        if snapshot::looks_like_v2(bytes) {
-            return Self::from_snapshot_v2(bytes, detector_config)
-                .map_err(|e| SnapshotError::Json(format!("v2 snapshot: {e}")));
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| SnapshotError::Json("snapshot is neither v2 binary nor UTF-8".into()))?;
-        Self::from_snapshot(text, detector_config)
-    }
-
-    /// Loads a legacy `ropuf-verifier/v1` JSON snapshot. The shard
-    /// count comes from the snapshot; detectors start fresh (v1 cannot
-    /// carry flag state — migrate to v2 to keep quarantines across
-    /// restarts).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] for malformed JSON, a schema
-    /// violation, bad hex, or duplicate device ids.
-    pub fn from_snapshot(
-        snapshot: &str,
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        let doc = json::parse(snapshot).map_err(|e| SnapshotError::Json(e.to_string()))?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some(s) if s == SCHEMA => {}
-            _ => return Err(SnapshotError::Schema("missing or unsupported schema tag")),
-        }
-        let shards = doc
-            .get("shards")
-            .and_then(JsonValue::as_u64)
-            .filter(|&n| n <= MAX_SHARDS)
-            .ok_or(SnapshotError::Schema("missing or implausible shard count"))?
-            as usize;
-        let devices = doc
-            .get("devices")
-            .and_then(JsonValue::as_array)
-            .ok_or(SnapshotError::Schema("missing devices array"))?;
-
-        let registry = Self::new(shards, detector_config);
-        for device in devices {
-            let device_id = device
-                .get("device_id")
-                .and_then(JsonValue::as_u64)
-                .ok_or(SnapshotError::Schema("device without device_id"))?;
-            let scheme_tag = device
-                .get("scheme_tag")
-                .and_then(JsonValue::as_u64)
-                .filter(|&t| t <= u8::MAX as u64)
-                .ok_or(SnapshotError::Schema("device without scheme_tag"))?
-                as u8;
-            let helper_hex = device
-                .get("helper")
-                .and_then(JsonValue::as_str)
-                .ok_or(SnapshotError::Schema("device without helper"))?;
-            let helper = json::from_hex(helper_hex).map_err(|_| SnapshotError::Hex("helper"))?;
-            let digest_hex = device
-                .get("key_digest")
-                .and_then(JsonValue::as_str)
-                .ok_or(SnapshotError::Schema("device without key_digest"))?;
-            let digest_bytes =
-                json::from_hex(digest_hex).map_err(|_| SnapshotError::Hex("key_digest"))?;
-            let key_digest: [u8; 32] = digest_bytes
-                .try_into()
-                .map_err(|_| SnapshotError::Schema("key_digest is not 32 bytes"))?;
-            registry
-                .enroll_recovered(
-                    device_id,
-                    EnrollmentRecord {
-                        scheme_tag,
-                        helper,
-                        key_digest,
-                    },
-                    None,
-                )
-                .map_err(|_| SnapshotError::Duplicate(device_id))?;
         }
         Ok(registry)
     }
@@ -806,18 +648,25 @@ mod tests {
         r.enroll(9, record(9)).unwrap();
         r.enroll(2, record(2)).unwrap();
         r.enroll(700, record(3)).unwrap();
-        let snap = r.snapshot_json();
-        assert!(snap.contains("\"schema\": \"ropuf-verifier/v1\""));
-        assert!(snap.find("\"device_id\": 2").unwrap() < snap.find("\"device_id\": 9").unwrap());
+        let snap = r.snapshot_v2();
+        let decoded = snapshot::decode(&snap).unwrap();
+        let ids: Vec<u64> = decoded.devices.iter().map(|d| d.device_id).collect();
+        assert_eq!(ids, [2, 9, 700]);
 
-        let loaded = ShardedRegistry::from_snapshot(&snap, DetectorConfig::default()).unwrap();
+        let loaded = ShardedRegistry::from_snapshot_v2(&snap, DetectorConfig::default()).unwrap();
         assert_eq!(loaded.shard_count(), 4);
         assert_eq!(loaded.len(), 3);
         for id in [2u64, 9, 700] {
             assert_eq!(loaded.record(id), r.record(id), "device {id}");
         }
-        // Emit → load → emit is byte-identical.
-        assert_eq!(loaded.snapshot_json(), snap);
+        // Emit → load → emit is byte-identical, and enrollment order
+        // does not leak into the bytes.
+        assert_eq!(loaded.snapshot_v2(), snap);
+        let reordered = ShardedRegistry::new(4, DetectorConfig::default());
+        for id in [700u64, 2, 9] {
+            reordered.enroll(id, r.record(id).unwrap()).unwrap();
+        }
+        assert_eq!(reordered.snapshot_v2(), snap);
     }
 
     #[test]
@@ -831,53 +680,45 @@ mod tests {
         assert_eq!(loaded.record(3), r.record(3));
         assert_eq!(loaded.record(11), r.record(11));
         assert_eq!(loaded.snapshot_v2(), v2, "emit → load → emit is stable");
-        // The auto loader takes both formats.
-        let via_auto = ShardedRegistry::load_snapshot_auto(&v2, DetectorConfig::default()).unwrap();
-        assert_eq!(via_auto.record(3), r.record(3));
-        let via_auto_v1 = ShardedRegistry::load_snapshot_auto(
-            r.snapshot_json().as_bytes(),
-            DetectorConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(via_auto_v1.record(11), r.record(11));
+        // Anything without the v2 magic — a retired JSON snapshot, say —
+        // is a typed error, not a guess.
+        let mut json = b"{\"schema\": \"ropuf-verifier/v1\", \"devices\": []}".to_vec();
+        json.resize(v2.len(), b' ');
+        assert_eq!(
+            ShardedRegistry::from_snapshot_v2(&json, DetectorConfig::default()).err(),
+            Some(SnapshotV2Error::BadMagic)
+        );
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
         let cfg = DetectorConfig::default();
+        let load = |bytes: &[u8]| ShardedRegistry::from_snapshot_v2(bytes, cfg).err();
         assert!(matches!(
-            ShardedRegistry::from_snapshot("not json", cfg),
-            Err(SnapshotError::Json(_))
+            load(b"not a snapshot"),
+            Some(SnapshotV2Error::TooShort { .. })
         ));
+        let r = ShardedRegistry::new(2, cfg);
+        r.enroll(3, record(3)).unwrap();
+        let good = r.snapshot_v2();
+        // A flipped bit anywhere past the magic is caught by the CRC.
+        let mut flipped = good.clone();
+        flipped[snapshot::MAGIC.len() + 12] ^= 1;
         assert!(matches!(
-            ShardedRegistry::from_snapshot("{\"schema\": \"other/v9\"}", cfg),
-            Err(SnapshotError::Schema(_))
+            load(&flipped),
+            Some(SnapshotV2Error::CrcMismatch { .. })
         ));
-        // A forged giant shard count must be a typed error, not an
+        // A forged giant shard count (CRC recomputed, so the range
+        // check itself is reached) must be a typed error, not an
         // allocation abort.
-        let forged_shards =
-            format!("{{\"schema\": \"{SCHEMA}\", \"shards\": 99999999999999, \"devices\": []}}");
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&forged_shards, cfg),
-            Err(SnapshotError::Schema(_))
-        ));
-        let bad_hex = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"shards\": 1, \"devices\": [{{\"device_id\": 0, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"zz\", \"key_digest\": \"00\"}}]}}"
+        let mut forged = good[..good.len() - 4].to_vec();
+        let shards_at = snapshot::MAGIC.len() + 2;
+        forged[shards_at..shards_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = ropuf_numeric::crc32(&forged);
+        forged.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            load(&forged),
+            Some(SnapshotV2Error::ShardCountOutOfRange(u32::MAX))
         );
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&bad_hex, cfg),
-            Err(SnapshotError::Hex("helper"))
-        ));
-        let dup = format!(
-            "{{\"schema\": \"{SCHEMA}\", \"shards\": 1, \"devices\": [\
-             {{\"device_id\": 3, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"4c01\", \"key_digest\": \"{}\"}},\
-             {{\"device_id\": 3, \"scheme\": \"lisa\", \"scheme_tag\": 76, \"helper\": \"4c01\", \"key_digest\": \"{}\"}}]}}",
-            "00".repeat(32),
-            "00".repeat(32)
-        );
-        assert!(matches!(
-            ShardedRegistry::from_snapshot(&dup, cfg),
-            Err(SnapshotError::Duplicate(3))
-        ));
     }
 }

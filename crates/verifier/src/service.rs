@@ -21,9 +21,7 @@ use ropuf_sim::Environment;
 use ropuf_telemetry::{Counter, Registry as TelemetryRegistry, Snapshot as TelemetrySnapshot};
 
 use crate::detector::{AuthVerdict, DetectorConfig, FlagReason};
-use crate::registry::{
-    DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry, SnapshotError,
-};
+use crate::registry::{DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry};
 use crate::store::faults::StoreFaults;
 use crate::store::snapshot::SnapshotV2Error;
 use crate::store::{self, DeviceStore, RecoveryReport, StoreError, StoreOptions};
@@ -213,22 +211,6 @@ impl Verifier {
         Self::assemble(ShardedRegistry::new(shards, detector_config))
     }
 
-    /// Restores a verifier from a legacy `ropuf-verifier/v1` registry
-    /// snapshot (detectors start fresh — v1 cannot carry flag state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] from the registry loader.
-    pub fn from_snapshot(
-        snapshot: &str,
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        Ok(Self::assemble(ShardedRegistry::from_snapshot(
-            snapshot,
-            detector_config,
-        )?))
-    }
-
     /// Restores a verifier from a `ropuf-verifier/v2` binary snapshot,
     /// including persisted quarantine flags.
     ///
@@ -240,23 +222,6 @@ impl Verifier {
         detector_config: DetectorConfig,
     ) -> Result<Self, SnapshotV2Error> {
         Ok(Self::assemble(ShardedRegistry::from_snapshot_v2(
-            bytes,
-            detector_config,
-        )?))
-    }
-
-    /// Restores a verifier from a snapshot in either format (sniffed by
-    /// magic bytes) — the migration entry point: load whatever is on
-    /// disk, save v2 via [`Verifier::snapshot_v2`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the loader's error for whichever format was sniffed.
-    pub fn load_snapshot_auto(
-        bytes: &[u8],
-        detector_config: DetectorConfig,
-    ) -> Result<Self, SnapshotError> {
-        Ok(Self::assemble(ShardedRegistry::load_snapshot_auto(
             bytes,
             detector_config,
         )?))
@@ -938,8 +903,8 @@ mod tests {
         let v = Verifier::new(4, DetectorConfig::default());
         v.enroll(42, LISA_TAG, device.helper(), device.enrolled_key())
             .unwrap();
-        let snap = v.registry().snapshot_json();
-        let restored = Verifier::from_snapshot(&snap, DetectorConfig::default()).unwrap();
+        let snap = v.snapshot_v2();
+        let restored = Verifier::from_snapshot_v2(&snap, DetectorConfig::default()).unwrap();
         let req = genuine_request(&mut device, 42, 0, b"after-restore");
         assert!(restored.authenticate(&req).is_accept());
     }

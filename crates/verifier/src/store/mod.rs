@@ -54,38 +54,6 @@ use faults::StoreFaults;
 use snapshot::SnapshotV2Error;
 use wal::{WalDecodeError, WalReader, WalRecord};
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) lookup table, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes` — the checksum framing both snapshot and
-/// WAL records.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 /// When appends reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
@@ -684,13 +652,6 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value from the CRC catalogue.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn file_names_roundtrip() {

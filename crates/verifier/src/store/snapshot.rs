@@ -25,9 +25,9 @@
 //! actually present *before* allocation, every malformed input maps to
 //! a typed [`SnapshotV2Error`], and nothing panics.
 //!
-//! Unlike the legacy v1 JSON snapshot, v2 carries the detector's
-//! quarantine latch — a restart no longer silently un-flags devices
-//! the crashed process had caught manipulating helper data.
+//! The snapshot carries the detector's quarantine latch, so a restart
+//! never silently un-flags devices the crashed process had caught
+//! manipulating helper data.
 
 use std::fmt;
 
@@ -35,7 +35,7 @@ use ropuf_proto::codec::{Reader, Writer, MAX_BYTES};
 
 use crate::detector::FlagReason;
 use crate::registry::{EnrollmentRecord, MAX_SHARDS};
-use crate::store::crc32;
+use ropuf_numeric::crc32;
 
 /// Leading magic of every v2 snapshot.
 pub const MAGIC: [u8; 8] = *b"RPUFSNP2";
@@ -159,13 +159,6 @@ pub struct SnapshotV2 {
     pub devices: Vec<SnapshotDevice>,
 }
 
-/// `true` when the bytes start with the v2 magic — the format sniff
-/// behind [`crate::ShardedRegistry::load_snapshot_auto`]. (A v1
-/// snapshot starts with `{`, so the formats cannot collide.)
-pub fn looks_like_v2(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
 /// Encodes a fleet as a v2 snapshot. `devices` must be sorted
 /// ascending by id (the registry's dump already is).
 ///
@@ -220,7 +213,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotV2, SnapshotV2Error> {
     if bytes.len() < HEADER_LEN + 4 {
         return Err(SnapshotV2Error::TooShort { len: bytes.len() });
     }
-    if !looks_like_v2(bytes) {
+    if bytes[..MAGIC.len()] != MAGIC {
         return Err(SnapshotV2Error::BadMagic);
     }
     // CRC first: nothing past the magic is believed until the whole
@@ -321,7 +314,7 @@ mod tests {
     fn roundtrip_preserves_records_and_flags() {
         let devices = fleet();
         let bytes = encode(4, &devices);
-        assert!(looks_like_v2(&bytes));
+        assert_eq!(bytes[..MAGIC.len()], MAGIC);
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.shards, 4);
         assert_eq!(decoded.devices.len(), 2);

@@ -33,7 +33,7 @@ use ropuf_proto::codec::{Reader, Writer, MAX_BYTES};
 
 use crate::detector::FlagReason;
 use crate::registry::EnrollmentRecord;
-use crate::store::crc32;
+use ropuf_numeric::crc32;
 
 /// Type byte of an enrollment record.
 pub const RECORD_ENROLL: u8 = 0x01;

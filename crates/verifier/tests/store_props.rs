@@ -6,10 +6,6 @@
 //! 2. **Hostility** — byte soup, strict prefixes and point mutations
 //!    of valid encodings produce typed errors; the decoders never
 //!    panic and never over-allocate from forged lengths.
-//! 3. **Equivalence** — loading the same fleet through the v2 binary
-//!    path and the v1 JSON path yields semantically equal registries,
-//!    with the documented difference (v1 resets detector state, v2
-//!    preserves flags) pinned down, plus the v1 → v2 migration path.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -226,49 +222,6 @@ proptest! {
                     | WalDecodeError::UnknownFlagReason(_),
                 ) => break,
             }
-        }
-    }
-
-    /// Loading the same fleet through the v2 binary snapshot and the
-    /// v1 JSON snapshot yields the same enrollment records, and the
-    /// documented difference holds: v2 preserves flags, v1 resets
-    /// detector state. The v1 → v2 migration path (`load v1, save v2`)
-    /// then re-enters the durable world losslessly for records.
-    #[test]
-    fn v1_and_v2_loads_are_semantically_equivalent(
-        seeds in vec(any::<u8>(), 0..16),
-        shards in 1usize..8,
-    ) {
-        let fleet = fleet_from(&seeds);
-        let v2 = ShardedRegistry::from_snapshot_v2(
-            &snapshot::encode(shards, &fleet),
-            DetectorConfig::default(),
-        ).expect("v2 loads");
-        let v1 = ShardedRegistry::from_snapshot(&v2.snapshot_json(), DetectorConfig::default())
-            .expect("v1 loads its own emission");
-
-        prop_assert_eq!(v1.len(), v2.len());
-        for (id, record, flag) in &fleet {
-            prop_assert_eq!(v1.record(*id), Some(record.clone()));
-            prop_assert_eq!(v2.record(*id), Some(record.clone()));
-            // v2 preserves flags; v1 (documented) resets detector state.
-            prop_assert_eq!(v2.flag_info(*id), *flag);
-            prop_assert_eq!(v1.flag_info(*id), None);
-        }
-
-        // Migration: v1-loaded registry saved as v2 and reloaded keeps
-        // every record; the auto-loader sniffs both formats.
-        let migrated = ShardedRegistry::load_snapshot_auto(
-            &v1.snapshot_v2(),
-            DetectorConfig::default(),
-        ).expect("migrated v2 loads");
-        let via_json = ShardedRegistry::load_snapshot_auto(
-            v1.snapshot_json().as_bytes(),
-            DetectorConfig::default(),
-        ).expect("auto-loader still takes v1");
-        for (id, record, _) in &fleet {
-            prop_assert_eq!(migrated.record(*id), Some(record.clone()));
-            prop_assert_eq!(via_json.record(*id), Some(record.clone()));
         }
     }
 }
