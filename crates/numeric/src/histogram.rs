@@ -196,22 +196,25 @@ impl Histogram {
     /// ascending — the compact form a snapshot codec serializes. Most
     /// latency distributions occupy a few dozen of the [`BUCKETS`]
     /// slots, so the sparse form is far smaller than the dense array.
+    /// Only the occupied range, from `min`'s bucket to `max`'s, is
+    /// walked: every bucket outside it is zero.
     pub fn sparse_counts(&self) -> Vec<(u32, u64)> {
-        self.counts
+        if self.count == 0 {
+            return Vec::new();
+        }
+        let first = bucket_index(self.min);
+        self.counts[first..=bucket_index(self.max)]
             .iter()
             .enumerate()
             .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i as u32, c))
+            .map(|(i, &c)| ((first + i) as u32, c))
             .collect()
     }
 
     /// Rebuilds a histogram from the parts [`Histogram::sparse_counts`]
-    /// and the scalar accessors export, validating every invariant so a
-    /// decoded wire snapshot can never construct a histogram whose
-    /// percentile math goes wrong: bucket indices must be strictly
-    /// ascending and in range, the bucket counts must sum to `count`
-    /// without overflow, and the `[min, max]` envelope must be
-    /// consistent with the occupied buckets.
+    /// and the scalar accessors export, after [`validate_sparse`] has
+    /// accepted them, so a decoded wire snapshot can never construct a
+    /// histogram whose percentile math goes wrong.
     pub fn from_sparse(
         count: u64,
         sum: u128,
@@ -219,70 +222,18 @@ impl Histogram {
         max: u64,
         buckets: &[(u32, u64)],
     ) -> Result<Self, SparseHistogramError> {
+        validate_sparse(count, sum, min, max, buckets)?;
+        let mut h = Self::new();
         if count == 0 {
-            if sum != 0 || min != 0 || max != 0 || !buckets.is_empty() {
-                return Err(SparseHistogramError::EmptyButPopulated);
-            }
-            return Ok(Self::new());
+            return Ok(h);
         }
-        if min > max {
-            return Err(SparseHistogramError::MinAboveMax { min, max });
-        }
-        let mut h = Self {
-            counts: vec![0; BUCKETS],
-            count,
-            sum,
-            min,
-            max,
-        };
-        let mut total = 0u64;
-        let mut prev: Option<u32> = None;
         for &(index, c) in buckets {
-            if index as usize >= BUCKETS {
-                return Err(SparseHistogramError::IndexOutOfRange(index));
-            }
-            if prev.is_some_and(|p| index <= p) {
-                return Err(SparseHistogramError::IndexNotAscending(index));
-            }
-            if c == 0 {
-                return Err(SparseHistogramError::ZeroBucket(index));
-            }
-            prev = Some(index);
-            total = total
-                .checked_add(c)
-                .ok_or(SparseHistogramError::CountOverflow)?;
             h.counts[index as usize] = c;
         }
-        if total != count {
-            return Err(SparseHistogramError::CountMismatch {
-                declared: count,
-                summed: total,
-            });
-        }
-        // The declared sum must be achievable by samples lying inside
-        // the occupied buckets (`count <= u64::MAX` keeps both bounds
-        // inside u128, no overflow possible).
-        let (mut lo, mut hi) = (0u128, 0u128);
-        for &(index, c) in buckets {
-            let low = bucket_low(index as usize);
-            let high = if (index as usize) + 1 < BUCKETS {
-                bucket_low(index as usize + 1) - 1
-            } else {
-                u64::MAX
-            };
-            lo += low as u128 * c as u128;
-            hi += high as u128 * c as u128;
-        }
-        if sum < lo || sum > hi {
-            return Err(SparseHistogramError::SumOutOfRange { declared: sum });
-        }
-        // The envelope must agree with the occupied buckets: min lives
-        // in the first occupied bucket, max in the last.
-        let first = buckets.first().expect("count > 0 implies buckets").0 as usize;
-        let last = prev.expect("count > 0 implies buckets") as usize;
-        if bucket_index(min) != first || bucket_index(max) != last {
-            return Err(SparseHistogramError::EnvelopeMismatch { min, max });
-        }
+        h.count = count;
+        h.sum = sum;
+        h.min = min;
+        h.max = max;
         Ok(h)
     }
 
@@ -301,7 +252,81 @@ impl Histogram {
     }
 }
 
-/// Why [`Histogram::from_sparse`] rejected a set of exported parts.
+/// Checks exported histogram parts without building the histogram —
+/// no allocation, so a codec can validate a decoded snapshot cheaply.
+/// Bucket indices must be strictly ascending, in range and non-zero,
+/// the bucket counts must sum to `count` without overflow, the sum must
+/// be achievable by samples inside the occupied buckets, and the
+/// `[min, max]` envelope must agree with the first and last occupied
+/// bucket. An empty histogram (`count == 0`) must carry nothing else.
+pub fn validate_sparse(
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+    buckets: &[(u32, u64)],
+) -> Result<(), SparseHistogramError> {
+    if count == 0 {
+        if sum != 0 || min != 0 || max != 0 || !buckets.is_empty() {
+            return Err(SparseHistogramError::EmptyButPopulated);
+        }
+        return Ok(());
+    }
+    if min > max {
+        return Err(SparseHistogramError::MinAboveMax { min, max });
+    }
+    let mut total = 0u64;
+    let mut prev: Option<u32> = None;
+    for &(index, c) in buckets {
+        if index as usize >= BUCKETS {
+            return Err(SparseHistogramError::IndexOutOfRange(index));
+        }
+        if prev.is_some_and(|p| index <= p) {
+            return Err(SparseHistogramError::IndexNotAscending(index));
+        }
+        if c == 0 {
+            return Err(SparseHistogramError::ZeroBucket(index));
+        }
+        prev = Some(index);
+        total = total
+            .checked_add(c)
+            .ok_or(SparseHistogramError::CountOverflow)?;
+    }
+    if total != count {
+        return Err(SparseHistogramError::CountMismatch {
+            declared: count,
+            summed: total,
+        });
+    }
+    // The declared sum must be achievable by samples lying inside the
+    // occupied buckets (`count <= u64::MAX` keeps both bounds inside
+    // u128, no overflow possible).
+    let (mut lo, mut hi) = (0u128, 0u128);
+    for &(index, c) in buckets {
+        let low = bucket_low(index as usize);
+        let high = if (index as usize) + 1 < BUCKETS {
+            bucket_low(index as usize + 1) - 1
+        } else {
+            u64::MAX
+        };
+        lo += low as u128 * c as u128;
+        hi += high as u128 * c as u128;
+    }
+    if sum < lo || sum > hi {
+        return Err(SparseHistogramError::SumOutOfRange { declared: sum });
+    }
+    // The envelope must agree with the occupied buckets: min lives in
+    // the first occupied bucket, max in the last.
+    let first = buckets.first().expect("count > 0 implies buckets").0 as usize;
+    let last = prev.expect("count > 0 implies buckets") as usize;
+    if bucket_index(min) != first || bucket_index(max) != last {
+        return Err(SparseHistogramError::EnvelopeMismatch { min, max });
+    }
+    Ok(())
+}
+
+/// Why [`validate_sparse`] (and so [`Histogram::from_sparse`]) rejected
+/// a set of exported parts.
 /// Every inconsistency a hostile or corrupted snapshot could carry maps
 /// to one of these — reconstruction never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]

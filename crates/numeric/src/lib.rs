@@ -47,7 +47,9 @@ pub mod stats;
 
 pub use bits::BitVec;
 pub use crc::crc32;
-pub use histogram::{bucket_floor, Histogram, HistogramSummary, SparseHistogramError};
+pub use histogram::{
+    bucket_floor, validate_sparse, Histogram, HistogramSummary, SparseHistogramError,
+};
 pub use linalg::Matrix;
 pub use permutation::Permutation;
 pub use polyfit::{Poly2d, PolyFitError};

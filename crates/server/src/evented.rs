@@ -974,11 +974,11 @@ impl EventLoop {
                             }
                             let response = match request {
                                 // The handler only knows the verifier's
-                                // metrics; the serving layer folds its
-                                // own namespace into the blob.
-                                RequestRef::MetricsSnapshot => shared
-                                    .telemetry
-                                    .merged_metrics_response(handler.handle_ref(request)),
+                                // metrics; the serving layer merges its
+                                // own namespace in and encodes once.
+                                RequestRef::MetricsSnapshot => {
+                                    shared.telemetry.merged_metrics_response(handler.metrics())
+                                }
                                 // Traces and the time series live
                                 // here, not in the handler.
                                 RequestRef::TraceDump => shared.telemetry.trace_response(),
@@ -1475,6 +1475,24 @@ mod tests {
                 },
             }
         }
+    }
+
+    #[test]
+    fn scrape_through_a_handler_without_metrics_reports_the_server() {
+        // `SleepyHello` has no metrics of its own and answers anything
+        // but hello with an error; the scrape must still carry the
+        // server's namespace, its own request already counted.
+        let handler: Arc<dyn RequestHandler> = Arc::new(SleepyHello);
+        let server =
+            EventedServer::spawn("127.0.0.1:0", handler, EventedConfig::default()).expect("bind");
+        let mut client = Client::new(TcpTransport::connect(server.local_addr()).unwrap());
+        let snap = client
+            .metrics()
+            .expect("the scrape answers with server metrics");
+        assert_eq!(snap.counter_total("server.requests"), 1);
+        assert!(snap.find("server.connections.open", &[]).is_some());
+        assert!(snap.metrics.iter().all(|m| m.name.starts_with("server.")));
+        server.shutdown();
     }
 
     #[test]

@@ -21,6 +21,7 @@ use ropuf_proto::{
     AuthItemRef, ErrorCode, Request, RequestRef, Response, WireAuthResponse, WireFlagReason,
     WireVerdict, PROTOCOL_VERSION,
 };
+use ropuf_telemetry::Snapshot;
 use ropuf_verifier::{AuthQuery, AuthVerdict, BatchScratch, FlagReason, Verifier};
 
 /// A server-side request processor: one decoded request in, one
@@ -43,6 +44,15 @@ pub trait RequestHandler: Send + Sync {
     /// out.
     fn shard_count(&self) -> usize {
         0
+    }
+
+    /// This handler's own metrics, unencoded. A `MetricsSnapshot`
+    /// scrape on the evented server merges them with the server's
+    /// `server.*` namespace and encodes the result once. The default is
+    /// empty: a handler without metrics still lets the scrape report
+    /// the server's.
+    fn metrics(&self) -> Snapshot {
+        Snapshot::default()
     }
 }
 
@@ -218,13 +228,12 @@ impl RequestHandler for VerifierHandler {
             RequestRef::SnapshotV2 => Response::SnapshotBin {
                 bytes: self.verifier.snapshot_v2(),
             },
-            // The handler answers with the verifier's metrics only; a
-            // server in front of this handler intercepts the
-            // request, merges its own `server.*` namespace into the
-            // blob, and re-encodes. Over loopback there is no server
-            // layer, so the verifier's view is the whole answer.
+            // Over loopback there is no server layer, so the
+            // verifier's view is the whole answer. The evented server
+            // never routes a scrape here: it merges `metrics()` with
+            // its own namespace and encodes once.
             RequestRef::MetricsSnapshot => Response::MetricsBin {
-                bytes: self.verifier.telemetry_snapshot().encode(),
+                bytes: self.metrics().encode(),
             },
             // Slow-request traces live in the server, not the
             // verifier; standalone (loopback) the ring is empty.
@@ -249,6 +258,10 @@ impl RequestHandler for VerifierHandler {
 
     fn shard_count(&self) -> usize {
         self.verifier.registry().shard_count()
+    }
+
+    fn metrics(&self) -> Snapshot {
+        self.verifier.telemetry_snapshot()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Server-side telemetry: request/connection counters, per-message-type
 //! phase latency histograms, per-lane saturation counters, the
 //! slow-request trace ring and the retained time-series ring —
-//! everything a wire scrape merges on top of the verifier's own
-//! metrics.
+//! everything a wire scrape merges with the handler's (the verifier's)
+//! own metrics.
 //!
 //! The server owns one [`ServerTelemetry`] and records into it once
 //! per served frame with
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ropuf_proto::{ErrorCode, RequestRef, Response};
+use ropuf_proto::{RequestRef, Response};
 use ropuf_telemetry::{
     Counter, Gauge, Registry, Sampler, SeriesRing, Snapshot, TimeSeriesSnapshot, TimerHistogram,
     TraceRecord, TraceRing, TraceSnapshot, SERIES_PHASES,
@@ -385,29 +385,17 @@ impl ServerTelemetry {
         }
     }
 
-    /// Answers `Request::MetricsSnapshot`: takes the handler's reply
-    /// (the verifier's `ropuf-metrics/v1` blob), merges the server's
-    /// own metrics into it, and re-encodes. Namespaces are disjoint
-    /// (`server.*` vs `verifier.*`), so the merge never clashes.
-    ///
-    /// A handler reply that is not a decodable `MetricsBin` (custom
-    /// handler, or a typed error) passes through untouched — the
-    /// server never turns a working reply into a worse one.
-    pub(crate) fn merged_metrics_response(&self, handler_reply: Response) -> Response {
-        match handler_reply {
-            Response::MetricsBin { bytes } => match Snapshot::decode(&bytes) {
-                Ok(mut snapshot) => {
-                    snapshot.merge(self.snapshot());
-                    Response::MetricsBin {
-                        bytes: snapshot.encode(),
-                    }
-                }
-                Err(e) => Response::Error {
-                    code: ErrorCode::Internal,
-                    detail: format!("handler metrics blob undecodable: {e}"),
-                },
-            },
-            other => other,
+    /// Answers `Request::MetricsSnapshot`: merges the server's own
+    /// metrics into the handler's (the verifier's, or nothing for a
+    /// handler without metrics) and encodes the result once as a
+    /// `ropuf-metrics/v1` blob. The namespaces mostly differ; an
+    /// identity both layers carry (the verifier also registers
+    /// `server.degraded_transitions` and `faults.injected`) combines:
+    /// counters and gauges add, histograms merge.
+    pub(crate) fn merged_metrics_response(&self, mut handler_metrics: Snapshot) -> Response {
+        handler_metrics.merge(self.snapshot());
+        Response::MetricsBin {
+            bytes: handler_metrics.encode(),
         }
     }
 }
@@ -511,15 +499,5 @@ mod tests {
         assert!(requests <= t.requests_served());
         // Zero interval means no sampler.
         assert!(test_telemetry(Duration::ZERO).start_sampler().is_none());
-    }
-
-    #[test]
-    fn merge_passthrough_leaves_non_metrics_replies_alone() {
-        let t = test_telemetry(Duration::ZERO);
-        let err = Response::Error {
-            code: ErrorCode::Internal,
-            detail: "boom".to_string(),
-        };
-        assert_eq!(t.merged_metrics_response(err.clone()), err);
     }
 }

@@ -391,7 +391,7 @@ impl Snapshot {
                         max,
                         buckets,
                     };
-                    snapshot.to_histogram()?; // validate, then keep parts
+                    snapshot.validate()?; // no dense rebuild
                     MetricValue::Histogram(snapshot)
                 }
                 other => return Err(MetricsDecodeError::UnknownKind(other)),

@@ -23,9 +23,15 @@
 //!   `MetricsSnapshot`/`TraceDump`/`TimeSeriesDump` wire exchanges
 //!   carry; decoding is bounds-checked and never panics.
 //!
-//! The serving layers each own a registry (`server.*`, `verifier.*`
-//! namespaces); the server merges them at scrape time, so one
-//! `MetricsSnapshot` request observes the whole stack.
+//! The serving layers each own a registry (mostly `server.*` and
+//! `verifier.*`); the server merges them at scrape time, so one
+//! `MetricsSnapshot` request observes the whole stack. The namespaces
+//! are not disjoint — the verifier also registers
+//! `server.degraded_transitions` and `faults.injected` — and an
+//! identity both layers carry combines: counters and gauges add,
+//! histograms merge exactly. The merge is sparse end to end (striped
+//! histograms export their occupied buckets, snapshots merge-join), and
+//! the merged snapshot is encoded once.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,8 +14,8 @@
 //!
 //! Latency histograms stripe a [`Histogram`] per cell behind a `Mutex`;
 //! with one writer per stripe in the common case the lock is
-//! uncontended, and a snapshot merges the stripes — exact, by the
-//! histogram's merge property.
+//! uncontended, and a snapshot merges the stripes' sparse parts —
+//! exact, by the histogram's merge property.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,6 +23,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ropuf_numeric::Histogram;
+
+use crate::registry::HistogramSnapshot;
 
 /// Cells per striped metric. A power of two comfortably above the
 /// loop/worker counts the servers run with, so distinct hot threads
@@ -233,6 +235,26 @@ impl TimerHistogram {
         let mut out = Histogram::new();
         for stripe in self.stripes.iter() {
             out.merge(&unpoison(stripe));
+        }
+        out
+    }
+
+    /// The exported parts of [`TimerHistogram::merged`], built sparse:
+    /// empty stripes are skipped, each other stripe walks only its
+    /// occupied bucket range, and the stripes' parts merge sparse to
+    /// sparse — no dense histogram is allocated. Equal to
+    /// `HistogramSnapshot::from_histogram(&self.merged())`.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut out = HistogramSnapshot::default();
+        for stripe in self.stripes.iter() {
+            let part = {
+                let stripe = unpoison(stripe);
+                if stripe.count() == 0 {
+                    continue;
+                }
+                HistogramSnapshot::from_histogram(&stripe)
+            };
+            out.merge(part);
         }
         out
     }

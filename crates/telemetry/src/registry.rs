@@ -13,10 +13,11 @@
 //! as a `ropuf-metrics/v1` blob (see [`crate::codec`]) and renders as
 //! human text.
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use ropuf_numeric::{Histogram, SparseHistogramError};
+use ropuf_numeric::{validate_sparse, Histogram, SparseHistogramError};
 
 use crate::metrics::{Counter, Gauge, TimerHistogram};
 
@@ -56,6 +57,8 @@ struct Entry {
 /// An instantiable metric namespace. Clones share the same metrics.
 #[derive(Clone, Default)]
 pub struct Registry {
+    /// Kept sorted by `(name, labels)`, so registration finds an
+    /// identity by binary search and a snapshot needs no sort.
     entries: Arc<Mutex<Vec<Entry>>>,
 }
 
@@ -108,24 +111,29 @@ impl Registry {
         let labels = canonical_labels(labels);
         check_identity(name, &labels);
         let mut entries = self.entries.lock().expect("registry lock");
-        if let Some(entry) = entries
-            .iter()
-            .find(|e| e.name == name && e.labels == labels)
-        {
-            return unwrap(&entry.metric).unwrap_or_else(|| {
-                panic!(
-                    "metric {name} already registered as a {}",
-                    entry.metric.kind()
-                )
-            });
-        }
+        let slot = entries.binary_search_by(|e| (e.name.as_str(), &e.labels).cmp(&(name, &labels)));
+        let at = match slot {
+            Ok(found) => {
+                let entry = &entries[found];
+                return unwrap(&entry.metric).unwrap_or_else(|| {
+                    panic!(
+                        "metric {name} already registered as a {}",
+                        entry.metric.kind()
+                    )
+                });
+            }
+            Err(at) => at,
+        };
         assert!(entries.len() < MAX_METRICS, "registry full ({MAX_METRICS})");
         let handle = fresh();
-        entries.push(Entry {
-            name: name.to_string(),
-            labels,
-            metric: wrap(handle.clone()),
-        });
+        entries.insert(
+            at,
+            Entry {
+                name: name.to_string(),
+                labels,
+                metric: wrap(handle.clone()),
+            },
+        );
         handle
     }
 
@@ -174,10 +182,12 @@ impl Registry {
         )
     }
 
-    /// Freezes every metric into a sorted, self-contained [`Snapshot`].
+    /// Freezes every metric into a sorted, self-contained [`Snapshot`]:
+    /// one pass over the (already sorted) entries, histograms exported
+    /// sparse by [`TimerHistogram::snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         let entries = self.entries.lock().expect("registry lock");
-        let mut metrics: Vec<MetricSample> = entries
+        let metrics = entries
             .iter()
             .map(|e| MetricSample {
                 name: e.name.clone(),
@@ -185,13 +195,10 @@ impl Registry {
                 value: match &e.metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => {
-                        MetricValue::Histogram(HistogramSnapshot::from_histogram(&h.merged()))
-                    }
+                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 },
             })
             .collect();
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         Snapshot { metrics }
     }
 }
@@ -210,8 +217,9 @@ pub enum MetricValue {
 /// The exported parts of a [`Histogram`]: scalars plus the sparse
 /// non-zero buckets. [`HistogramSnapshot::to_histogram`] rebuilds the
 /// exact histogram (validated), so a decoded snapshot computes the same
-/// quantiles the server would.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// quantiles the server would. The default is the empty histogram's
+/// parts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.
     pub count: u64,
@@ -241,6 +249,63 @@ impl HistogramSnapshot {
     pub fn to_histogram(&self) -> Result<Histogram, SparseHistogramError> {
         Histogram::from_sparse(self.count, self.sum, self.min, self.max, &self.buckets)
     }
+
+    /// Checks every invariant [`HistogramSnapshot::to_histogram`] does,
+    /// without building the dense histogram.
+    pub fn validate(&self) -> Result<(), SparseHistogramError> {
+        validate_sparse(self.count, self.sum, self.min, self.max, &self.buckets)
+    }
+
+    /// Folds `other` in, sparse to sparse: scalars combine and the two
+    /// ascending bucket lists merge-join, summing shared indices. Exact:
+    /// the parts equal those of the merged dense histograms.
+    pub fn merge(&mut self, other: HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = other;
+            return;
+        }
+        self.count = self.count.wrapping_add(other.count);
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.buckets = merge_join(
+            std::mem::take(&mut self.buckets),
+            other.buckets,
+            |a, b| a.0.cmp(&b.0),
+            |a, b| a.1 = a.1.wrapping_add(b.1),
+        );
+    }
+}
+
+/// Merge-joins two lists sorted by `order` in one linear pass: an item
+/// only one side has keeps its place, and `combine` folds each matching
+/// pair into one.
+fn merge_join<T>(
+    a: Vec<T>,
+    b: Vec<T>,
+    order: impl Fn(&T, &T) -> Ordering,
+    combine: impl Fn(&mut T, T),
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match order(x, y) {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => {
+                if let (Some(mut x), Some(y)) = (a.next(), b.next()) {
+                    combine(&mut x, y);
+                    out.push(x);
+                }
+            }
+        }
+    }
+    out.extend(a);
+    out.extend(b);
+    out
 }
 
 /// One named, labeled metric inside a [`Snapshot`].
@@ -252,6 +317,17 @@ pub struct MetricSample {
     pub labels: Vec<(String, String)>,
     /// The frozen value.
     pub value: MetricValue,
+}
+
+/// The order snapshots are sorted in: by name, then by labels.
+fn identity_order(a: &MetricSample, b: &MetricSample) -> Ordering {
+    (&a.name, &a.labels).cmp(&(&b.name, &b.labels))
+}
+
+fn sort_by_identity(metrics: &mut [MetricSample]) {
+    if !metrics.is_sorted_by(|a, b| identity_order(a, b) != Ordering::Greater) {
+        metrics.sort_by(identity_order);
+    }
 }
 
 fn render_labels(labels: &[(String, String)]) -> String {
@@ -306,43 +382,28 @@ impl Snapshot {
     }
 
     /// Folds `other` into `self` by metric identity: counters and
-    /// gauges add, histograms merge, unknown identities append. Two
-    /// layers exporting disjoint namespaces (`server.*`, `verifier.*`)
-    /// concatenate losslessly; overlapping identities combine exactly.
+    /// gauges add, histograms merge, unknown identities are inserted in
+    /// order, and an identity carried with two different kinds keeps
+    /// `self`'s value. Layers exporting different metrics concatenate
+    /// losslessly; an identity both carry combines exactly. One linear
+    /// merge-join of the two sorted lists (either side is sorted first
+    /// if it is not already).
     pub fn merge(&mut self, other: Snapshot) {
-        for sample in other.metrics {
-            match self
-                .metrics
-                .iter_mut()
-                .find(|m| m.name == sample.name && m.labels == sample.labels)
-            {
-                None => self.metrics.push(sample),
-                Some(mine) => match (&mut mine.value, sample.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => {
-                        *a = a.wrapping_add(b);
-                    }
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
-                        *a = a.wrapping_add(b);
-                    }
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                        let merged = match (a.to_histogram(), b.to_histogram()) {
-                            (Ok(mut ha), Ok(hb)) => {
-                                ha.merge(&hb);
-                                HistogramSnapshot::from_histogram(&ha)
-                            }
-                            // Unvalidatable parts (never produced by our
-                            // own registries): keep ours.
-                            _ => a.clone(),
-                        };
-                        *a = merged;
-                    }
-                    // Kind clash between layers: keep ours.
-                    (_, _) => {}
-                },
-            }
-        }
-        self.metrics
-            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        let mut theirs = other.metrics;
+        sort_by_identity(&mut self.metrics);
+        sort_by_identity(&mut theirs);
+        self.metrics = merge_join(
+            std::mem::take(&mut self.metrics),
+            theirs,
+            identity_order,
+            |mine, sample| match (&mut mine.value, sample.value) {
+                (MetricValue::Counter(x), MetricValue::Counter(y))
+                | (MetricValue::Gauge(x), MetricValue::Gauge(y)) => *x = x.wrapping_add(y),
+                (MetricValue::Histogram(x), MetricValue::Histogram(y)) => x.merge(y),
+                // Kind clash between layers: keep ours.
+                (_, _) => {}
+            },
+        );
     }
 
     /// Human rendering: one line per metric, histograms as their

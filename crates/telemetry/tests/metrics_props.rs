@@ -15,7 +15,11 @@
 //!    single-stream histogram bucket for bucket; the trace ring keeps
 //!    exactly the newest `capacity` records across wraparound; a chain
 //!    of sampler delta points telescopes to the final registry totals
-//!    exactly.
+//!    exactly; a striped histogram's sparse snapshot equals the
+//!    export of its dense merge, and sparse-to-sparse merges equal
+//!    dense merges.
+//! 4. **Golden bytes** — a fixed verifier + server registry pair
+//!    merges into pinned `ropuf-metrics/v1` bytes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -347,5 +351,219 @@ proptest! {
         let seqs: Vec<u64> = snap.records.iter().map(|r| r.seq).collect();
         // Exactly the newest records survive, oldest first.
         prop_assert_eq!(seqs, expected);
+    }
+}
+
+/// A fixed verifier-side and server-side registry pair for the golden
+/// scrape test. Both carry `server.degraded_transitions` (the verifier
+/// registers it too) and one shared histogram identity, so the golden
+/// bytes pin how overlapping identities combine.
+fn golden_pair() -> (Registry, Registry) {
+    let verifier = Registry::new();
+    verifier.counter("verifier.auth.accept", &[]).add(1_234);
+    verifier
+        .counter("verifier.auth.flagged", &[("reason", "rate-budget")])
+        .add(3);
+    verifier
+        .gauge("verifier.registry.entries", &[("shard", "0")])
+        .add(17);
+    verifier
+        .gauge("verifier.registry.entries", &[("shard", "1")])
+        .add(9);
+    let compaction = verifier.histogram("verifier.compaction.duration_ns", &[]);
+    for v in [1_500_000, 2_250_000] {
+        compaction.record(v);
+    }
+    verifier.counter("server.degraded_transitions", &[]).add(1);
+    let shared = verifier.histogram("shared.latency_ns", &[("layer", "both")]);
+    for v in [0, 31, 32, 5_000, 5_001] {
+        shared.record(v);
+    }
+
+    let server = Registry::new();
+    server.counter("server.requests", &[]).add(42);
+    server.gauge("server.connections.open", &[]).add(3);
+    let auth = server.histogram(
+        "server.request.phase_ns",
+        &[("msg", "auth"), ("phase", "handle")],
+    );
+    for v in [900, 1_100, 40_000] {
+        auth.record(v);
+    }
+    server.histogram(
+        "server.request.phase_ns",
+        &[("msg", "metrics"), ("phase", "handle")],
+    );
+    server.counter("server.degraded_transitions", &[]).add(2);
+    let shared = server.histogram("shared.latency_ns", &[("layer", "both")]);
+    for v in [32, 5_000, 1 << 40, u64::MAX] {
+        shared.record(v);
+    }
+    (verifier, server)
+}
+
+/// `golden_pair`'s merged scrape as `ropuf-metrics/v1` bytes (hex),
+/// taken from the decode-merge-encode scrape path this encoding must
+/// keep reproducing byte for byte.
+const GOLDEN_SCRAPE_HEX: &str = concat!(
+    "525055464d45543101000b0000000117007365727665722e636f6e6e65637469",
+    "6f6e732e6f70656e000300000000000000001b007365727665722e6465677261",
+    "6465645f7472616e736974696f6e730003000000000000000217007365727665",
+    "722e726571756573742e70686173655f6e730203006d73670400617574680500",
+    "7068617365060068616e646c65030000000000000010a4000000000000000000",
+    "00000000008403000000000000409c00000000000003000000b8000000010000",
+    "0000000000c20000000100000000000000670100000100000000000000021700",
+    "7365727665722e726571756573742e70686173655f6e730203006d736707006d",
+    "65747269637305007068617365060068616e646c650000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "00000f007365727665722e7265717565737473002a0000000000000002110073",
+    "68617265642e6c6174656e63795f6e730105006c617965720400626f74680900",
+    "000000000000f73a00000001000001000000000000000000000000000000ffff",
+    "ffffffffffff060000000000000001000000000000001f000000010000000000",
+    "0000200000000200000000000000070100000300000000000000800400000100",
+    "0000000000007f070000010000000000000000140076657269666965722e6175",
+    "74682e61636365707400d20400000000000000150076657269666965722e6175",
+    "74682e666c6167676564010600726561736f6e0b00726174652d627564676574",
+    "0300000000000000021f0076657269666965722e636f6d70616374696f6e2e64",
+    "75726174696f6e5f6e7300020000000000000070383900000000000000000000",
+    "00000060e31600000000001055220000000000020000000d0200000100000000",
+    "00000022020000010000000000000001190076657269666965722e7265676973",
+    "7472792e656e7472696573010500736861726401003011000000000000000119",
+    "0076657269666965722e72656769737472792e656e7472696573010500736861",
+    "72640100310900000000000000c42b19be",
+);
+
+fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+#[test]
+fn merged_scrape_bytes_are_golden() {
+    let golden = from_hex(GOLDEN_SCRAPE_HEX);
+    assert_eq!(golden.len(), 785);
+    let (verifier, server) = golden_pair();
+    // One encode pass: merge the two snapshots, encode once.
+    let mut merged = verifier.snapshot();
+    merged.merge(server.snapshot());
+    assert_eq!(merged.encode(), golden);
+    // Decoding the verifier's blob first yields the same bytes.
+    let mut decoded = Snapshot::decode(&verifier.snapshot().encode()).expect("own blob decodes");
+    decoded.merge(server.snapshot());
+    assert_eq!(decoded.encode(), golden);
+    // The shared identities combined rather than repeated.
+    assert_eq!(merged.counter_total("server.degraded_transitions"), 3);
+    assert_eq!(merged.histogram_samples("shared.latency_ns"), 9);
+}
+
+/// Records `samples` into a fresh striped histogram from `threads`
+/// threads, so the samples spread across stripes.
+fn striped_from(samples: &[u64], threads: usize) -> TimerHistogram {
+    let striped = TimerHistogram::new();
+    std::thread::scope(|scope| {
+        for chunk in samples.chunks(samples.len().max(1).div_ceil(threads)) {
+            let striped = striped.clone();
+            scope.spawn(move || {
+                for &v in chunk {
+                    striped.record(v);
+                }
+            });
+        }
+    });
+    striped
+}
+
+#[test]
+fn sparse_snapshot_edge_cases_equal_the_dense_merge() {
+    let cases: [&[u64]; 6] = [
+        &[],
+        &[0],
+        &[u64::MAX],
+        &[0, u64::MAX],
+        // One bucket: 1000..=1023 share bucket 1000's slot.
+        &[1_000, 1_001, 1_010, 1_023, 1_000],
+        &[0, 0, 1, 31, 32, 1 << 20, u64::MAX, u64::MAX - 1],
+    ];
+    for samples in cases {
+        for threads in [1, 3, 8] {
+            let striped = striped_from(samples, threads);
+            assert_eq!(
+                striped.snapshot(),
+                HistogramSnapshot::from_histogram(&striped.merged()),
+                "{samples:?} over {threads} threads"
+            );
+        }
+    }
+    assert_eq!(
+        TimerHistogram::new().snapshot(),
+        HistogramSnapshot::default()
+    );
+}
+
+proptest! {
+    #[test]
+    fn sparse_snapshot_equals_dense_merge(
+        raw in vec(any::<u64>(), 0..400),
+        threads in 1usize..8,
+    ) {
+        // Shift by a per-sample amount so samples spread over the
+        // whole u64 range, not just its top buckets.
+        let samples: Vec<u64> = raw.iter().map(|&x| x >> (x % 64)).collect();
+        let striped = striped_from(&samples, threads);
+        let sparse = striped.snapshot();
+        prop_assert_eq!(&sparse, &HistogramSnapshot::from_histogram(&striped.merged()));
+        prop_assert_eq!(sparse.validate(), Ok(()));
+    }
+
+    #[test]
+    fn sparse_merge_equals_dense_merge(
+        left in vec(any::<u64>(), 0..200),
+        right in vec(any::<u64>(), 0..200),
+    ) {
+        let dense = |values: &[u64]| {
+            let mut h = Histogram::new();
+            for &x in values {
+                h.record(x >> (x % 64));
+            }
+            h
+        };
+        let (a, b) = (dense(&left), dense(&right));
+        let mut sparse = HistogramSnapshot::from_histogram(&a);
+        sparse.merge(HistogramSnapshot::from_histogram(&b));
+        let mut both = a;
+        both.merge(&b);
+        prop_assert_eq!(sparse, HistogramSnapshot::from_histogram(&both));
+    }
+
+    #[test]
+    fn validate_agrees_with_rebuild_on_forged_parts(
+        raw in vec(any::<u64>(), 1..60),
+        field in 0u8..6,
+        delta in any::<u64>(),
+    ) {
+        let mut h = Histogram::new();
+        for &x in &raw {
+            h.record(x >> (x % 64));
+        }
+        let mut parts = HistogramSnapshot::from_histogram(&h);
+        match field {
+            0 => parts.count = parts.count.wrapping_add(delta),
+            1 => parts.sum = parts.sum.wrapping_add(u128::from(delta)),
+            2 => parts.min = parts.min.wrapping_add(delta),
+            3 => parts.max = parts.max.wrapping_add(delta),
+            4 => {
+                let i = (delta % parts.buckets.len() as u64) as usize;
+                parts.buckets[i].0 = parts.buckets[i].0.wrapping_add(delta as u32);
+            }
+            _ => {
+                let i = (delta % parts.buckets.len() as u64) as usize;
+                parts.buckets[i].1 = parts.buckets[i].1.wrapping_add(delta);
+            }
+        }
+        // The allocation-free check draws exactly the typed error the
+        // dense rebuild does (or accepts exactly what it accepts).
+        prop_assert_eq!(parts.validate(), parts.to_histogram().map(|_| ()));
     }
 }

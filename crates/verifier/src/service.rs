@@ -18,7 +18,9 @@ use ropuf_constructions::{Device, DeviceResponse};
 use ropuf_hash::{hmac_sha256, sha256};
 use ropuf_numeric::BitVec;
 use ropuf_sim::Environment;
-use ropuf_telemetry::{Counter, Registry as TelemetryRegistry, Snapshot as TelemetrySnapshot};
+use ropuf_telemetry::{
+    Counter, Gauge, Registry as TelemetryRegistry, Snapshot as TelemetrySnapshot,
+};
 
 use crate::detector::{AuthVerdict, DetectorConfig, FlagReason};
 use crate::registry::{DeviceEntry, EnrollmentRecord, RegistryError, ShardedRegistry};
@@ -139,6 +141,9 @@ struct VerifierMetrics {
     reject: Counter,
     /// Indexed by [`flag_reason_index`].
     flagged: [Counter; 4],
+    /// `verifier.registry.entries{shard}`, one per registry shard (the
+    /// shard count is fixed), refreshed at every scrape.
+    shard_entries: Vec<Gauge>,
 }
 
 /// All four flag reasons, in [`flag_reason_index`] order.
@@ -159,13 +164,21 @@ fn flag_reason_index(reason: FlagReason) -> usize {
 }
 
 impl VerifierMetrics {
-    fn new(telemetry: &TelemetryRegistry) -> Self {
+    fn new(telemetry: &TelemetryRegistry, shards: usize) -> Self {
         Self {
             accept: telemetry.counter("verifier.auth.accept", &[]),
             reject: telemetry.counter("verifier.auth.reject", &[]),
             flagged: FLAG_REASONS.map(|reason| {
                 telemetry.counter("verifier.auth.flagged", &[("reason", reason.label())])
             }),
+            shard_entries: (0..shards)
+                .map(|shard| {
+                    telemetry.gauge(
+                        "verifier.registry.entries",
+                        &[("shard", &shard.to_string())],
+                    )
+                })
+                .collect(),
         }
     }
 
@@ -197,7 +210,7 @@ impl Verifier {
     /// here, so the metrics exist — at zero — from the first request.
     fn assemble(registry: ShardedRegistry) -> Self {
         let telemetry = TelemetryRegistry::new();
-        let metrics = VerifierMetrics::new(&telemetry);
+        let metrics = VerifierMetrics::new(&telemetry, registry.shard_count());
         Self {
             registry,
             telemetry,
@@ -272,7 +285,7 @@ impl Verifier {
             }
             store.attach_telemetry(&telemetry);
             registry.attach_store(Arc::new(store));
-            let metrics = VerifierMetrics::new(&telemetry);
+            let metrics = VerifierMetrics::new(&telemetry, registry.shard_count());
             Self {
                 registry,
                 telemetry,
@@ -355,13 +368,9 @@ impl Verifier {
     /// entry counts are read from the registry at the moment of the
     /// scrape (nothing on the enrollment path maintains them).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        for (shard, len) in self.registry.shard_lens().into_iter().enumerate() {
-            self.telemetry
-                .gauge(
-                    "verifier.registry.entries",
-                    &[("shard", &shard.to_string())],
-                )
-                .set(len as u64);
+        let lens = self.registry.shard_lens();
+        for (gauge, len) in self.metrics.shard_entries.iter().zip(lens) {
+            gauge.set(len as u64);
         }
         self.telemetry.snapshot()
     }
