@@ -39,6 +39,9 @@ fn bench_parity_helper(c: &mut Criterion) {
     let mut noisy = reference.clone();
     noisy.flip(10);
     noisy.flip(40);
+    c.bench_function("parity_helper_new_64b_t3", |b| {
+        b.iter(|| black_box(ParityHelper::new(black_box(64), black_box(3)).unwrap()))
+    });
     c.bench_function("parity_helper_correct_64b_2err", |b| {
         b.iter(|| black_box(ecc.correct(black_box(&noisy), black_box(&parity)).unwrap()))
     });

@@ -197,7 +197,7 @@ fn main() {
             run.flagged_at_query
                 .map_or("-".to_string(), |q| q.to_string()),
             run.flagged_at_query.is_some_and(|q| q < run.queries),
-            run.flag_reason.as_deref().unwrap_or("-"),
+            run.flag_reason.map_or("-", |r| r.label()),
         );
     }
 

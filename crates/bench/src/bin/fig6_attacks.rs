@@ -18,11 +18,11 @@ use ropuf_constructions::pairing::distilled::{DistilledConfig, PairSource};
 use ropuf_sim::ArrayDims;
 
 fn print_variant(tag: &str, label: &str, report: &CampaignReport) {
-    let bits_total: usize = report.runs.iter().map(|r| r.key_bits).sum();
-    let bits_recovered: usize = report
+    let bits_total: u64 = report.runs.iter().map(|r| u64::from(r.key_bits)).sum();
+    let bits_recovered: u64 = report
         .runs
         .iter()
-        .map(|r| r.key_bits - r.hamming_distance.unwrap_or(r.key_bits))
+        .map(|r| u64::from(r.key_bits - r.hamming_distance.unwrap_or(r.key_bits)))
         .sum();
     let max_hyp = report
         .runs

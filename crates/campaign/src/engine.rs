@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ropuf_attacks::Oracle;
 use ropuf_telemetry::{Registry as TelemetryRegistry, TimerHistogram};
-use ropuf_verifier::DetectorConfig;
+use ropuf_verifier::{DetectorConfig, FlagReason};
 
 use crate::attack::AttackKind;
 use crate::fleet::FleetSpec;
@@ -24,6 +24,9 @@ use crate::monitor::DetectorMonitor;
 use crate::report::CampaignReport;
 
 /// Structured result of one device's attack run.
+///
+/// Kept small (at most 112 bytes, no heap use unless the run errored),
+/// since a long benchmark holds one per device it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceRun {
     /// Index of the device within the fleet.
@@ -38,22 +41,22 @@ pub struct DeviceRun {
     pub queries: u64,
     /// Length of the device's enrolled key in bits (0 when enrollment
     /// itself failed).
-    pub key_bits: usize,
+    pub key_bits: u32,
     /// Hamming distance between recovered and enrolled key
     /// (key-recovery attacks only).
-    pub hamming_distance: Option<usize>,
+    pub hamming_distance: Option<u32>,
     /// `(resolved, total)` relations (cooperative attack only).
-    pub relations: Option<(usize, usize)>,
+    pub relations: Option<(u32, u32)>,
     /// Largest simultaneous hypothesis set tested (distiller-pairing
     /// attack only).
-    pub max_hypotheses: Option<usize>,
+    pub max_hypotheses: Option<u32>,
     /// 1-based oracle query index at which the defender-side detector
     /// first flagged this device (`None`: never flagged, or the
     /// campaign ran without a detector). *Queries-before-flag* /
     /// *time-to-detection* in the closed-loop scenarios.
     pub flagged_at_query: Option<u64>,
-    /// Which detector signal fired first (`FlagReason::label` string).
-    pub flag_reason: Option<String>,
+    /// Which detector signal fired first.
+    pub flag_reason: Option<FlagReason>,
     /// Enrollment or attack error, if the run never produced an outcome.
     pub error: Option<String>,
     /// Wall-clock time of this device's provision + attack, in
@@ -183,7 +186,7 @@ impl Campaign {
             Err(e) => run.error = Some(format!("enroll: {e}")),
             Ok(mut device) => {
                 let truth = device.enrolled_key().clone();
-                run.key_bits = truth.len();
+                run.key_bits = narrow(truth.len());
                 let mut rng = StdRng::seed_from_u64(seeds.attack);
                 let mut oracle = Oracle::new(&mut device);
                 if let Some(config) = self.detector {
@@ -203,15 +206,15 @@ impl Campaign {
                     Err(e) => run.error = Some(format!("attack: {e}")),
                     Ok(outcome) => {
                         run.queries = outcome.queries;
-                        run.relations = outcome.relations;
-                        run.max_hypotheses = outcome.max_hypotheses;
+                        run.relations = outcome.relations.map(|(r, t)| (narrow(r), narrow(t)));
+                        run.max_hypotheses = outcome.max_hypotheses.map(narrow);
                         if let Some(key) = &outcome.recovered_key {
                             let distance = if key.len() == truth.len() {
                                 key.xor(&truth).count_ones()
                             } else {
                                 truth.len()
                             };
-                            run.hamming_distance = Some(distance);
+                            run.hamming_distance = Some(narrow(distance));
                             run.success = distance == 0;
                         } else if let Some((resolved, total)) = outcome.relations {
                             run.success = resolved == total && total > 0;
@@ -219,12 +222,21 @@ impl Campaign {
                     }
                 }
                 run.flagged_at_query = oracle.first_flagged();
-                run.flag_reason = oracle.monitor().and_then(|m| m.flag_reason());
+                run.flag_reason = oracle
+                    .monitor()
+                    .and_then(|m| m.flag_reason())
+                    .and_then(FlagReason::from_label);
             }
         }
         run.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         run
     }
+}
+
+/// A key length, bit count or hypothesis count as stored in a
+/// [`DeviceRun`]; all are bounded by the array size.
+fn narrow(count: usize) -> u32 {
+    u32::try_from(count).expect("per-device counts fit in u32")
 }
 
 #[cfg(test)]
@@ -329,6 +341,15 @@ mod tests {
         assert_eq!(
             snapshot.histogram_samples("campaign.flag_latency_queries"),
             flagged
+        );
+    }
+
+    #[test]
+    fn device_run_stays_small() {
+        assert!(
+            std::mem::size_of::<DeviceRun>() <= 112,
+            "{} bytes",
+            std::mem::size_of::<DeviceRun>()
         );
     }
 

@@ -83,10 +83,8 @@ impl TrafficMonitor for DetectorMonitor {
         flagged
     }
 
-    fn flag_reason(&self) -> Option<String> {
-        self.detector
-            .flagged()
-            .map(|(_, reason)| reason.label().to_string())
+    fn flag_reason(&self) -> Option<&'static str> {
+        self.detector.flagged().map(|(_, reason)| reason.label())
     }
 }
 
@@ -123,6 +121,6 @@ mod tests {
         assert!(!m.observe(&enrolled, &wrong));
         assert!(!m.observe(&enrolled, &wrong));
         assert!(m.observe(&enrolled, &wrong), "third consecutive failure");
-        assert_eq!(m.flag_reason().as_deref(), Some("failure-streak"));
+        assert_eq!(m.flag_reason(), Some("failure-streak"));
     }
 }

@@ -175,8 +175,8 @@ impl CampaignReport {
                 run.flagged_at_query
                     .map_or("null".to_string(), |q| q.to_string())
             ));
-            match &run.flag_reason {
-                Some(r) => out.push_str(&format!(", \"flag_reason\": {}", json_str(r))),
+            match run.flag_reason {
+                Some(r) => out.push_str(&format!(", \"flag_reason\": {}", json_str(r.label()))),
                 None => out.push_str(", \"flag_reason\": null"),
             }
             match &run.error {
@@ -224,7 +224,7 @@ impl CampaignReport {
                 run.max_hypotheses.map_or(String::new(), |h| h.to_string()),
                 run.flagged_at_query
                     .map_or(String::new(), |q| q.to_string()),
-                csv_str(run.flag_reason.as_deref().unwrap_or("")),
+                csv_str(run.flag_reason.map_or("", |r| r.label())),
                 csv_str(run.error.as_deref().unwrap_or("")),
             ));
             if include_timing {
@@ -271,7 +271,7 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-fn opt_num(x: Option<usize>) -> String {
+fn opt_num(x: Option<u32>) -> String {
     x.map_or("null".to_string(), |v| v.to_string())
 }
 
@@ -288,6 +288,7 @@ fn csv_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ropuf_verifier::FlagReason;
 
     fn sample_report() -> CampaignReport {
         CampaignReport {
@@ -310,7 +311,7 @@ mod tests {
                     relations: None,
                     max_hypotheses: None,
                     flagged_at_query: Some(2),
-                    flag_reason: Some("helper-mismatch".to_string()),
+                    flag_reason: Some(FlagReason::HelperMismatch),
                     error: None,
                     wall_ms: 7.0,
                 },

@@ -97,3 +97,76 @@ fn group_based_campaign_is_deterministic_too() {
     let b = mk(3).run().to_json(false);
     assert_eq!(a, b);
 }
+
+/// FNV-1a over the timing-stripped JSON report.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Pins the attack trajectories across versions, not just across runs
+/// of one build: a change to the simulator, the ECC, the constructions
+/// or the attacks that alters any query count, recovered key or flag
+/// shows here. The expected digests were taken from the code before
+/// the BCH decoder became table-driven.
+#[test]
+fn attack_trajectories_match_pinned_digests() {
+    use ropuf_constructions::cooperative::CooperativeConfig;
+    use ropuf_constructions::pairing::distilled::{DistilledConfig, PairSource};
+    use ropuf_verifier::DetectorConfig;
+
+    let kinds = [
+        (
+            AttackKind::Lisa(LisaConfig::default()),
+            ArrayDims::new(16, 8),
+            0x3aad_8066_4e30_8edf_u64,
+        ),
+        (
+            AttackKind::Cooperative(CooperativeConfig::default()),
+            ArrayDims::new(16, 8),
+            0x9e3d_9a93_4d06_7e5a,
+        ),
+        (
+            AttackKind::GroupBased(GroupBasedConfig::default()),
+            ArrayDims::new(10, 4),
+            0x0145_60fd_9238_797b,
+        ),
+        (
+            AttackKind::DistillerPairing(DistilledConfig {
+                source: PairSource::OneOutOfK { k: 5 },
+                ..DistilledConfig::default()
+            }),
+            ArrayDims::new(10, 4),
+            0xe515_f19f_62b2_f95c,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (attack, dims, _) in kinds {
+        let report = Campaign {
+            attack,
+            fleet: FleetSpec {
+                dims,
+                devices: 8,
+                master_seed: 2024,
+            },
+            threads: 2,
+            early_exit: false,
+            detector: Some(DetectorConfig::default()),
+        }
+        .run();
+        // The pinned fleets are not degenerate: keys (or relations) are
+        // recovered and the detector flags.
+        assert!(report.succeeded() > 0, "{}", report.attack);
+        assert!(report.flagged() > 0, "{}", report.attack);
+        got.push(fnv1a(&report.to_json(false)));
+    }
+    let want: Vec<u64> = kinds.iter().map(|k| k.2).collect();
+    assert_eq!(
+        got.iter().map(|d| format!("{d:#018x}")).collect::<Vec<_>>(),
+        want.iter()
+            .map(|d| format!("{d:#018x}"))
+            .collect::<Vec<_>>(),
+        "timing-stripped report digests of lisa, cooperative, group-based, distiller-pairing"
+    );
+}

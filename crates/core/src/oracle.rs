@@ -43,9 +43,9 @@ pub trait TrafficMonitor: std::fmt::Debug {
     /// it produced); returns `true` when the detector flags it.
     fn observe(&mut self, helper: &[u8], response: &DeviceResponse) -> bool;
 
-    /// Human-readable reason for the monitor's (first) flag, once
+    /// Short label of the reason for the monitor's (first) flag, once
     /// flagged.
-    fn flag_reason(&self) -> Option<String> {
+    fn flag_reason(&self) -> Option<&'static str> {
         None
     }
 }
@@ -341,8 +341,8 @@ mod tests {
             }
         }
 
-        fn flag_reason(&self) -> Option<String> {
-            (self.flags > 0).then(|| "helper differs".to_string())
+        fn flag_reason(&self) -> Option<&'static str> {
+            (self.flags > 0).then_some("helper differs")
         }
     }
 
@@ -370,10 +370,7 @@ mod tests {
             Some(2),
             "first manipulated query (after 1 reference query) is flagged"
         );
-        assert_eq!(
-            o.monitor().unwrap().flag_reason().as_deref(),
-            Some("helper differs")
-        );
+        assert_eq!(o.monitor().unwrap().flag_reason(), Some("helper differs"));
 
         // The flag index latches at the first offence.
         o.query(&garbage, Environment::nominal());

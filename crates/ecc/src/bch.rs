@@ -8,6 +8,9 @@
 //! Bit order convention: bit `j` of a codeword [`BitVec`] is the
 //! coefficient of `x^j` of the code polynomial.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use ropuf_numeric::BitVec;
 
 use crate::code::{BinaryCode, DecodeError, Decoded};
@@ -91,11 +94,32 @@ impl BchCode {
     /// Constructs the full-length BCH code over GF(2^m) correcting `t`
     /// errors.
     ///
+    /// Each `(m, t)` is built once per thread and cloned from then on
+    /// (the field tables are shared, the generator is a few words), so
+    /// callers that rebuild their code per key reconstruction pay a
+    /// lookup, not the field and generator construction.
+    ///
     /// # Errors
     ///
     /// Returns an error for unsupported `m` or a `t` that leaves no
     /// message bits.
     pub fn new(m: u32, t: usize) -> Result<Self, BchConstructError> {
+        thread_local! {
+            /// Every `(m, t)` built on this thread, failures included.
+            /// At most 10 fields times the `t` values in use.
+            static CODES: RefCell<HashMap<(u32, usize), Result<BchCode, BchConstructError>>> =
+                RefCell::new(HashMap::new());
+        }
+        CODES.with(|codes| {
+            codes
+                .borrow_mut()
+                .entry((m, t))
+                .or_insert_with(|| Self::build(m, t))
+                .clone()
+        })
+    }
+
+    fn build(m: u32, t: usize) -> Result<Self, BchConstructError> {
         if t == 0 {
             return Err(BchConstructError::InvalidT { t, remaining_k: 0 });
         }
@@ -191,32 +215,34 @@ impl BchCode {
         self.full_n - self.full_k
     }
 
-    /// Expands a shortened word to full length by re-inserting the zero
-    /// message bits (at the top positions).
-    fn expand(&self, word: &BitVec) -> BitVec {
-        if self.shorten == 0 {
-            return word.clone();
-        }
-        let mut full = word.clone();
-        for _ in 0..self.shorten {
-            full.push(false);
-        }
-        full
-    }
-
-    /// Computes the 2t syndromes `S_i = r(α^i)` of a full-length word.
-    fn syndromes(&self, word: &BitVec) -> Vec<u32> {
-        (1..=2 * self.t as u64)
-            .map(|i| {
-                let mut s = 0u32;
-                for j in 0..self.full_n {
-                    if word.get(j) {
-                        s ^= self.field.alpha_pow(i * j as u64);
-                    }
+    /// The 2t syndromes `S_i = r(α^i)`, `i = 1..=2t`, of the binary word
+    /// whose set bits are `ones` (every position below `2^m − 1`).
+    ///
+    /// Walks the set bits once. For bit `j` the exponent of `α^{i·j}`
+    /// steps by `2j` from one odd `i` to the next, with one conditional
+    /// subtraction in place of a modulo; the even syndromes follow as
+    /// `S_2i = S_i²`, which holds for binary words.
+    fn syndromes(&self, ones: impl IntoIterator<Item = usize>) -> Vec<u32> {
+        let (exp, _) = self.field.tables();
+        let n = self.full_n;
+        let mut syn = vec![0u32; 2 * self.t];
+        for j in ones {
+            debug_assert!(j < n, "bit {j} beyond the code length {n}");
+            let step = if 2 * j >= n { 2 * j - n } else { 2 * j };
+            let mut e = j;
+            for s in syn.iter_mut().step_by(2) {
+                *s ^= exp[e];
+                e += step;
+                if e >= n {
+                    e -= n;
                 }
-                s
-            })
-            .collect()
+            }
+        }
+        for i in (2..=syn.len()).step_by(2) {
+            let half = syn[i / 2 - 1];
+            syn[i - 1] = self.field.mul(half, half);
+        }
+        syn
     }
 
     /// Berlekamp–Massey: returns the error-locator polynomial coefficients
@@ -259,22 +285,33 @@ impl BchCode {
         sigma
     }
 
-    /// Chien search: positions `j` with `σ(α^{−j}) = 0`.
-    fn chien(&self, sigma: &[u32]) -> Vec<usize> {
-        let f = &self.field;
-        let n = self.full_n as u64;
-        let mut out = Vec::new();
-        for j in 0..self.full_n as u64 {
-            // Evaluate σ at α^{-j}.
-            let mut acc = 0u32;
-            for (d, &c) in sigma.iter().enumerate() {
-                if c != 0 {
-                    let e = (n - j as u64 % n) % n * d as u64;
-                    acc ^= f.mul(c, f.alpha_pow(e));
-                }
+    /// Chien search: the positions `j < limit` with `σ(α^{−j}) = 0`, in
+    /// ascending order.
+    ///
+    /// Each non-zero term keeps the log of `σ_d·α^{−jd}` and steps it
+    /// down by `d` per position. The search stops after `deg σ` roots,
+    /// since a polynomial of that degree has no more.
+    fn chien(&self, sigma: &[u32], limit: usize) -> Vec<usize> {
+        let (exp, log) = self.field.tables();
+        let n = self.full_n;
+        let degree = sigma.len() - 1;
+        // (current log, per-position decrement) of every non-zero term.
+        let mut terms: Vec<(usize, usize)> = sigma
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(d, &c)| (log[c as usize] as usize, d % n))
+            .collect();
+        let mut out = Vec::with_capacity(degree);
+        for j in 0..limit {
+            if out.len() == degree {
+                break;
             }
-            if acc == 0 {
-                out.push(j as usize);
+            if terms.iter().fold(0, |acc, &(l, _)| acc ^ exp[l]) == 0 {
+                out.push(j);
+            }
+            for (l, d) in &mut terms {
+                *l = if *l >= *d { *l - *d } else { *l + n - *d };
             }
         }
         out
@@ -333,12 +370,10 @@ impl BinaryCode for BchCode {
                 got: word.len(),
             });
         }
-        let full = self.expand(word);
-        let syn = self.syndromes(&full);
+        let syn = self.syndromes(word.iter_ones());
         if syn.iter().all(|&s| s == 0) {
-            let message = full.slice(self.parity_bits(), self.k());
             return Ok(Decoded {
-                message,
+                message: word.slice(self.parity_bits(), self.k()),
                 codeword: word.clone(),
                 corrected: 0,
             });
@@ -348,27 +383,24 @@ impl BinaryCode for BchCode {
         if errors > self.t {
             return Err(DecodeError::TooManyErrors);
         }
-        let positions = self.chien(&sigma);
+        // Roots in the shortened (known-zero) positions cannot come from
+        // ≤ t real errors, so the search stops at the shortened length:
+        // such a root shows as a missing one.
+        let positions = self.chien(&sigma, self.n());
         if positions.len() != errors {
             return Err(DecodeError::TooManyErrors);
         }
-        let mut corrected = full.clone();
-        for &p in &positions {
-            if p >= self.full_n - self.shorten && p >= self.parity_bits() + self.k() {
-                // Error located in a shortened (known-zero) position:
-                // impossible for ≤ t real errors ⇒ decoding failure.
-                return Err(DecodeError::TooManyErrors);
-            }
-            corrected.flip(p);
-        }
-        // Sanity: corrected word must have zero syndromes.
-        if self.syndromes(&corrected).iter().any(|&s| s != 0) {
+        // Sanity: the corrected word must have zero syndromes, i.e. the
+        // located errors alone must reproduce the received syndromes.
+        if self.syndromes(positions.iter().copied()) != syn {
             return Err(DecodeError::TooManyErrors);
         }
-        let message = corrected.slice(self.parity_bits(), self.k());
-        let codeword = corrected.slice(0, self.n());
+        let mut codeword = word.clone();
+        for &p in &positions {
+            codeword.flip(p);
+        }
         Ok(Decoded {
-            message,
+            message: codeword.slice(self.parity_bits(), self.k()),
             codeword,
             corrected: positions.len(),
         })
@@ -380,6 +412,260 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The decoder as it was before syndromes and the Chien search
+    /// became table-driven: every exponent reduced with a `u64` modulo,
+    /// the word expanded to full length, the search over every position
+    /// and the sanity check on the corrected word. The table-driven
+    /// decoder must agree with it on every outcome.
+    mod reference {
+        use super::*;
+
+        fn expand(code: &BchCode, word: &BitVec) -> BitVec {
+            if code.shorten == 0 {
+                return word.clone();
+            }
+            let mut full = word.clone();
+            for _ in 0..code.shorten {
+                full.push(false);
+            }
+            full
+        }
+
+        fn syndromes(code: &BchCode, word: &BitVec) -> Vec<u32> {
+            (1..=2 * code.t as u64)
+                .map(|i| {
+                    let mut s = 0u32;
+                    for j in 0..code.full_n {
+                        if word.get(j) {
+                            s ^= code.field.alpha_pow(i * j as u64);
+                        }
+                    }
+                    s
+                })
+                .collect()
+        }
+
+        fn berlekamp_massey(code: &BchCode, syn: &[u32]) -> Vec<u32> {
+            let f = &code.field;
+            let mut sigma = vec![1u32];
+            let mut prev = vec![1u32];
+            let mut l = 0usize;
+            let mut shift = 1usize;
+            let mut b = 1u32;
+            for n in 0..syn.len() {
+                let mut d = syn[n];
+                for i in 1..=l.min(sigma.len() - 1) {
+                    if n >= i {
+                        d ^= f.mul(sigma[i], syn[n - i]);
+                    }
+                }
+                if d == 0 {
+                    shift += 1;
+                } else if 2 * l <= n {
+                    let t_poly = sigma.clone();
+                    let coef = f.div(d, b);
+                    sigma = poly_sub_scaled_shift(f, &sigma, &prev, coef, shift);
+                    l = n + 1 - l;
+                    prev = t_poly;
+                    b = d;
+                    shift = 1;
+                } else {
+                    let coef = f.div(d, b);
+                    sigma = poly_sub_scaled_shift(f, &sigma, &prev, coef, shift);
+                    shift += 1;
+                }
+            }
+            while sigma.len() > 1 && *sigma.last().unwrap() == 0 {
+                sigma.pop();
+            }
+            sigma
+        }
+
+        fn chien(code: &BchCode, sigma: &[u32]) -> Vec<usize> {
+            let f = &code.field;
+            let n = code.full_n as u64;
+            let mut out = Vec::new();
+            for j in 0..code.full_n as u64 {
+                let mut acc = 0u32;
+                for (d, &c) in sigma.iter().enumerate() {
+                    if c != 0 {
+                        let e = (n - j % n) % n * d as u64;
+                        acc ^= f.mul(c, f.alpha_pow(e));
+                    }
+                }
+                if acc == 0 {
+                    out.push(j as usize);
+                }
+            }
+            out
+        }
+
+        pub(super) fn decode(code: &BchCode, word: &BitVec) -> Result<Decoded, DecodeError> {
+            if word.len() != code.n() {
+                return Err(DecodeError::LengthMismatch {
+                    expected: code.n(),
+                    got: word.len(),
+                });
+            }
+            let full = expand(code, word);
+            let syn = syndromes(code, &full);
+            if syn.iter().all(|&s| s == 0) {
+                let message = full.slice(code.parity_bits(), code.k());
+                return Ok(Decoded {
+                    message,
+                    codeword: word.clone(),
+                    corrected: 0,
+                });
+            }
+            let sigma = berlekamp_massey(code, &syn);
+            let errors = sigma.len() - 1;
+            if errors > code.t {
+                return Err(DecodeError::TooManyErrors);
+            }
+            let positions = chien(code, &sigma);
+            if positions.len() != errors {
+                return Err(DecodeError::TooManyErrors);
+            }
+            let mut corrected = full.clone();
+            for &p in &positions {
+                if p >= code.full_n - code.shorten && p >= code.parity_bits() + code.k() {
+                    return Err(DecodeError::TooManyErrors);
+                }
+                corrected.flip(p);
+            }
+            if syndromes(code, &corrected).iter().any(|&s| s != 0) {
+                return Err(DecodeError::TooManyErrors);
+            }
+            let message = corrected.slice(code.parity_bits(), code.k());
+            let codeword = corrected.slice(0, code.n());
+            Ok(Decoded {
+                message,
+                codeword,
+                corrected: positions.len(),
+            })
+        }
+
+        /// `for_message_len` over freshly built (not memoized) codes.
+        pub(super) fn for_message_len(
+            k_min: usize,
+            t: usize,
+        ) -> Result<BchCode, BchConstructError> {
+            let mut last_err = BchConstructError::InvalidT { t, remaining_k: 0 };
+            for m in 3..=12 {
+                match BchCode::build(m, t) {
+                    Ok(code) => {
+                        if code.full_k >= k_min {
+                            let s = code.full_k - k_min;
+                            return if s == 0 { Ok(code) } else { code.shortened(s) };
+                        }
+                        last_err = BchConstructError::InvalidT {
+                            t,
+                            remaining_k: code.full_k,
+                        };
+                    }
+                    Err(e) => last_err = e,
+                }
+            }
+            Err(last_err)
+        }
+    }
+
+    fn same_code(a: &BchCode, b: &BchCode) -> bool {
+        (a.n(), a.k(), a.t(), a.generator()) == (b.n(), b.k(), b.t(), b.generator())
+    }
+
+    #[test]
+    fn table_decoder_agrees_with_reference() {
+        let mut rng = StdRng::seed_from_u64(0xbc4);
+        let mut outcomes = [0usize; 3]; // clean, corrected, failed
+        for m in 3..=8 {
+            for t in 1.. {
+                let Ok(full) = BchCode::new(m, t) else {
+                    break;
+                };
+                let k = full.k();
+                let mut shortenings = vec![0, k / 2, k - 1];
+                shortenings.dedup();
+                // Every error count for small t; the edges around 0 and
+                // t plus a few draws in between for large t.
+                let counts: Vec<usize> = if t <= 6 {
+                    (0..=t + 2).collect()
+                } else {
+                    let mut c = vec![0, 1, 2, t - 1, t, t + 1, t + 2];
+                    c.extend((0..3).map(|_| rng.random_range(3..t - 1)));
+                    c
+                };
+                for &s in &shortenings {
+                    let code = if s == 0 {
+                        full.clone()
+                    } else {
+                        full.shortened(s).unwrap()
+                    };
+                    for &errors in &counts {
+                        let msg = BitVec::from_bools((0..code.k()).map(|_| rng.random()));
+                        let mut word = code.encode(&msg);
+                        let errors = errors.min(code.n());
+                        for e in ropuf_numeric::sampling::sample_indices(&mut rng, code.n(), errors)
+                        {
+                            word.flip(e);
+                        }
+                        let got = code.decode(&word);
+                        let want = reference::decode(&code, &word);
+                        assert_eq!(
+                            got, want,
+                            "m {m}, t {t}, shortened {s}, {errors} errors, word {word}"
+                        );
+                        outcomes[match &got {
+                            Ok(d) if d.corrected == 0 => 0,
+                            Ok(_) => 1,
+                            Err(_) => 2,
+                        }] += 1;
+                    }
+                    // A uniformly random word, mostly beyond the decoding
+                    // radius of every codeword.
+                    let word = BitVec::from_bools((0..code.n()).map(|_| rng.random()));
+                    assert_eq!(
+                        code.decode(&word),
+                        reference::decode(&code, &word),
+                        "m {m}, t {t}, shortened {s}, random word {word}"
+                    );
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&c| c > 100), "{outcomes:?}");
+    }
+
+    #[test]
+    fn memoized_codes_equal_fresh_ones() {
+        for m in 3..=12 {
+            for t in 1..=8 {
+                match (BchCode::new(m, t), BchCode::build(m, t)) {
+                    (Ok(a), Ok(b)) => assert!(same_code(&a, &b), "m {m}, t {t}"),
+                    (a, b) => assert_eq!(a.err(), b.err(), "m {m}, t {t}"),
+                }
+                // A second lookup hits the memo and still agrees.
+                let again = BchCode::new(m, t).map(|c| c.generator().clone());
+                let fresh = BchCode::build(m, t).map(|c| c.generator().clone());
+                assert_eq!(again, fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn for_message_len_is_unchanged_by_memoization() {
+        for t in 1..=5 {
+            for k in 1..=64 {
+                match (
+                    BchCode::for_message_len(k, t),
+                    reference::for_message_len(k, t),
+                ) {
+                    (Ok(a), Ok(b)) => assert!(same_code(&a, &b), "k {k}, t {t}"),
+                    (a, b) => assert_eq!(a.err(), b.err(), "k {k}, t {t}"),
+                }
+            }
+        }
+    }
 
     #[test]
     fn classic_bch_15_7_2() {

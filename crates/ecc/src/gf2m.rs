@@ -115,6 +115,13 @@ impl Gf2m {
         self.exp[(e % self.order() as u64) as usize]
     }
 
+    /// The antilog table (`exp[e] = α^e` for `e < 2·(2^m − 1)`) and the
+    /// log table (`log[a]` for non-zero `a`), for loops that step
+    /// exponents themselves instead of reducing them per lookup.
+    pub(crate) fn tables(&self) -> (&[u32], &[u32]) {
+        (&self.exp, &self.log)
+    }
+
     /// Discrete log base α of a non-zero element.
     ///
     /// # Panics

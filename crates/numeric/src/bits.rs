@@ -212,6 +212,16 @@ impl BitVec {
         Self::from_bools((start..start + len).map(|i| self.get(i)))
     }
 
+    /// Iterates over the indices of the set bits, in ascending order,
+    /// one word at a time.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            std::iter::successors(Some(bits), |&b| Some(b & b.wrapping_sub(1)))
+                .take_while(|&b| b != 0)
+                .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
+
     /// Iterates over the bits.
     pub fn iter(&self) -> Iter<'_> {
         Iter { v: self, i: 0 }
@@ -369,6 +379,17 @@ mod tests {
         let v = BitVec::from_bools((0..40).map(|i| i >= 20));
         let s = v.slice(18, 4);
         assert_eq!(format!("{s}"), "0011");
+    }
+
+    #[test]
+    fn iter_ones_lists_set_bits_across_words() {
+        let pattern = |i: usize| i % 7 == 3 || i == 63 || i == 64 || i == 199;
+        let v = BitVec::from_bools((0..200).map(pattern));
+        let want: Vec<usize> = (0..200).filter(|&i| pattern(i)).collect();
+        assert_eq!(v.iter_ones().collect::<Vec<_>>(), want);
+        assert_eq!(BitVec::zeros(130).iter_ones().count(), 0);
+        assert_eq!(BitVec::ones(130).iter_ones().count(), 130);
+        assert_eq!(BitVec::new().iter_ones().count(), 0);
     }
 
     #[test]

@@ -78,6 +78,13 @@ impl FlagReason {
             _ => None,
         }
     }
+
+    /// Inverse of [`FlagReason::label`]; `None` for any other string.
+    pub fn from_label(label: &str) -> Option<Self> {
+        (0..4)
+            .filter_map(Self::from_code)
+            .find(|r| r.label() == label)
+    }
 }
 
 impl fmt::Display for FlagReason {
@@ -260,6 +267,17 @@ mod tests {
     fn detector(config: DetectorConfig) -> (DeviceDetector, Vec<u8>) {
         let enrolled = vec![LISA_TAG, 1, 2, 3, 4];
         (DeviceDetector::new(config, LISA_TAG, &enrolled), enrolled)
+    }
+
+    #[test]
+    fn reasons_round_trip_through_codes_and_labels() {
+        for code in 0..4 {
+            let reason = FlagReason::from_code(code).unwrap();
+            assert_eq!(reason.code(), code);
+            assert_eq!(FlagReason::from_label(reason.label()), Some(reason));
+        }
+        assert_eq!(FlagReason::from_code(4), None);
+        assert_eq!(FlagReason::from_label("rate"), None);
     }
 
     fn relaxed() -> DetectorConfig {
