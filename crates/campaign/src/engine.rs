@@ -25,12 +25,12 @@ use crate::report::CampaignReport;
 
 /// Structured result of one device's attack run.
 ///
-/// Kept small (at most 112 bytes, no heap use unless the run errored),
+/// Kept small (at most 88 bytes, no heap use unless the run errored),
 /// since a long benchmark holds one per device it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceRun {
     /// Index of the device within the fleet.
-    pub device_id: usize,
+    pub device_id: u32,
     /// The attacker-side RNG seed used (derived, recorded for replay).
     pub attack_seed: u64,
     /// Whether the attack met its success criterion: exact key recovery
@@ -41,15 +41,15 @@ pub struct DeviceRun {
     pub queries: u64,
     /// Length of the device's enrolled key in bits (0 when enrollment
     /// itself failed).
-    pub key_bits: u32,
+    pub key_bits: u16,
     /// Hamming distance between recovered and enrolled key
     /// (key-recovery attacks only).
-    pub hamming_distance: Option<u32>,
+    pub hamming_distance: Option<u16>,
     /// `(resolved, total)` relations (cooperative attack only).
-    pub relations: Option<(u32, u32)>,
+    pub relations: Option<(u16, u16)>,
     /// Largest simultaneous hypothesis set tested (distiller-pairing
     /// attack only).
-    pub max_hypotheses: Option<u32>,
+    pub max_hypotheses: Option<u16>,
     /// 1-based oracle query index at which the defender-side detector
     /// first flagged this device (`None`: never flagged, or the
     /// campaign ran without a detector). *Queries-before-flag* /
@@ -168,7 +168,7 @@ impl Campaign {
         let scheme = self.attack.scheme();
 
         let mut run = DeviceRun {
-            device_id,
+            device_id: narrow(device_id),
             attack_seed: seeds.attack,
             success: false,
             queries: 0,
@@ -233,10 +233,14 @@ impl Campaign {
     }
 }
 
-/// A key length, bit count or hypothesis count as stored in a
-/// [`DeviceRun`]; all are bounded by the array size.
-fn narrow(count: usize) -> u32 {
-    u32::try_from(count).expect("per-device counts fit in u32")
+/// A device index, key length, bit count or hypothesis count as stored
+/// in a [`DeviceRun`]. Fleets stay far below 2^32 devices; key lengths
+/// and relation counts are a few hundred bits on the paper's arrays, and
+/// every hypothesis costs oracle queries, so all fit in `u16`.
+fn narrow<T: TryFrom<usize>>(count: usize) -> T {
+    T::try_from(count)
+        .ok()
+        .expect("device ids fit in u32 and per-device counts in u16")
 }
 
 #[cfg(test)]
@@ -347,7 +351,7 @@ mod tests {
     #[test]
     fn device_run_stays_small() {
         assert!(
-            std::mem::size_of::<DeviceRun>() <= 112,
+            std::mem::size_of::<DeviceRun>() <= 88,
             "{} bytes",
             std::mem::size_of::<DeviceRun>()
         );

@@ -271,7 +271,7 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-fn opt_num(x: Option<u32>) -> String {
+fn opt_num(x: Option<u16>) -> String {
     x.map_or("null".to_string(), |v| v.to_string())
 }
 

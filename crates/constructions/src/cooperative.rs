@@ -24,11 +24,14 @@
 use rand::{Rng, RngCore};
 use ropuf_numeric::BitVec;
 use ropuf_sim::env::TemperatureRange;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 
 use crate::ecc_helper::ParityHelper;
 use crate::pairing::neighbor::{disjoint_chain_pairs, RoPair};
-use crate::scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError, SanityPolicy};
+use crate::scheme::{
+    boxed, EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError,
+    SanityPolicy,
+};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Wire-format scheme tag for temperature-aware cooperative helper data.
@@ -530,79 +533,6 @@ impl CooperativeScheme {
             transcript,
         ))
     }
-
-    /// Computes the raw (pre-ECC) response bits for parsed helper data at
-    /// an operating point, measuring the array once per RO involved.
-    fn raw_bits(
-        &self,
-        array: &RoArray,
-        parsed: &CooperativeHelper,
-        env: Environment,
-        rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
-    ) -> Result<BitVec, ReconstructError> {
-        let pairs = Self::pairs(array);
-        if parsed.entries.len() != pairs.len() {
-            return Err(WireError::Semantic {
-                what: "pair entry count mismatch",
-            }
-            .into());
-        }
-        let t = env.temperature_c;
-        // One measurement per RO, shared across direct and donor uses.
-        array.measure_all_into(env, rng, scratch);
-        let freqs: &[f64] = scratch;
-        let sign = |idx: usize| -> bool {
-            let (a, b) = pairs[idx];
-            freqs[a] > freqs[b]
-        };
-        // Direct bit of a pair given its interval (donor rule).
-        let direct = |idx: usize, _tl: f64, th: f64| -> bool {
-            if t > th {
-                !sign(idx)
-            } else {
-                sign(idx)
-            }
-        };
-        let mut good_bits = Vec::new();
-        let mut coop_bits = Vec::new();
-        for (i, e) in parsed.entries.iter().enumerate() {
-            match *e {
-                PairEntry::Good => good_bits.push(sign(i)),
-                PairEntry::Bad | PairEntry::CoopDiscarded { .. } => {}
-                PairEntry::Coop {
-                    tl,
-                    th,
-                    assist,
-                    mask,
-                } => {
-                    let bit = if t < tl || t > th {
-                        direct(i, tl, th)
-                    } else {
-                        // Inside the crossover interval: cooperate.
-                        let donor_bit = match parsed.entries[assist as usize] {
-                            PairEntry::Coop {
-                                tl: dtl, th: dth, ..
-                            }
-                            | PairEntry::CoopDiscarded { tl: dtl, th: dth } => {
-                                direct(assist as usize, dtl, dth)
-                            }
-                            // Lenient fallback: treat any other class as a
-                            // direct comparison.
-                            _ => sign(assist as usize),
-                        };
-                        let mask_bit = sign(mask as usize);
-                        mask_bit ^ donor_bit
-                    };
-                    coop_bits.push(bit);
-                }
-            }
-        }
-        let mut bits = BitVec::new();
-        bits.extend(good_bits);
-        bits.extend(coop_bits);
-        Ok(bits)
-    }
 }
 
 impl HelperDataScheme for CooperativeScheme {
@@ -618,43 +548,174 @@ impl HelperDataScheme for CooperativeScheme {
         self.enroll_with_transcript(array, rng).map(|(e, _)| e)
     }
 
-    fn reconstruct(
-        &self,
-        array: &RoArray,
-        helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError> {
-        self.reconstruct_with_scratch(array, helper, env, rng, &mut Vec::new())
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper> {
+        boxed(self.prepare_coop(dims, helper))
     }
+}
 
-    fn reconstruct_with_scratch(
+impl CooperativeScheme {
+    fn prepare_coop(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
-    ) -> Result<BitVec, ReconstructError> {
+    ) -> Result<PreparedCoop, ReconstructError> {
         let parsed = CooperativeHelper::from_bytes(helper, self.config.sanity)?;
-        if parsed.array_len as usize != array.len() {
+        if parsed.array_len as usize != dims.len() {
             return Err(WireError::Semantic {
                 what: "array length mismatch",
             }
             .into());
         }
-        if !(parsed.t_min..=parsed.t_max).contains(&env.temperature_c) {
+        let pairs = disjoint_chain_pairs(dims);
+        let plan = if parsed.entries.len() == pairs.len() {
+            Ok(CoopPlan::new(pairs, &parsed.entries))
+        } else {
+            Err(WireError::Semantic {
+                what: "pair entry count mismatch",
+            }
+            .into())
+        };
+        let bits = parsed
+            .entries
+            .iter()
+            .filter(|e| matches!(e, PairEntry::Good | PairEntry::Coop { .. }))
+            .count();
+        // An empty response or a code that cannot be built fails the
+        // query only after the array was measured, as an ECC failure.
+        let ecc = ParityHelper::new(bits, self.config.ecc_t).ok();
+        Ok(PreparedCoop {
+            t_min: parsed.t_min,
+            t_max: parsed.t_max,
+            plan,
+            parity: parsed.parity,
+            ecc,
+            freqs: Vec::new(),
+        })
+    }
+}
+
+/// Where a cooperating pair's in-interval bit comes from.
+#[derive(Debug, Clone, Copy)]
+struct CoopBit {
+    /// The cooperating pair itself.
+    pair: usize,
+    tl: f64,
+    th: f64,
+    /// The assisting pair, with its interval's top when it is a
+    /// cooperating pair (`None`: any other class, compared directly).
+    assist: usize,
+    assist_th: Option<f64>,
+    /// The masking pair.
+    mask: usize,
+}
+
+/// The response-bit plan of a cooperative helper whose entry count
+/// matches the array's pair list.
+#[derive(Debug)]
+struct CoopPlan {
+    pairs: Vec<RoPair>,
+    /// Good pairs, which supply the first response bits.
+    good: Vec<usize>,
+    /// Cooperating pairs with links, which supply the rest.
+    coop: Vec<CoopBit>,
+}
+
+impl CoopPlan {
+    fn new(pairs: Vec<RoPair>, entries: &[PairEntry]) -> Self {
+        let mut good = Vec::new();
+        let mut coop = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            match *e {
+                PairEntry::Good => good.push(i),
+                PairEntry::Bad | PairEntry::CoopDiscarded { .. } => {}
+                PairEntry::Coop {
+                    tl,
+                    th,
+                    assist,
+                    mask,
+                } => {
+                    let assist_th = match entries[assist as usize] {
+                        PairEntry::Coop { th, .. } | PairEntry::CoopDiscarded { th, .. } => {
+                            Some(th)
+                        }
+                        // Lenient fallback: treat any other class as a
+                        // direct comparison.
+                        _ => None,
+                    };
+                    coop.push(CoopBit {
+                        pair: i,
+                        tl,
+                        th,
+                        assist: assist as usize,
+                        assist_th,
+                        mask: mask as usize,
+                    });
+                }
+            }
+        }
+        Self { pairs, good, coop }
+    }
+
+    /// Raw (pre-ECC) response bits at temperature `t` from one
+    /// measurement per RO, shared across direct and donor uses.
+    fn raw_bits(&self, freqs: &[f64], t: f64) -> BitVec {
+        let sign = |idx: usize| -> bool {
+            let (a, b) = self.pairs[idx];
+            freqs[a] > freqs[b]
+        };
+        // Direct bit of a pair given its interval top (donor rule).
+        let direct = |idx: usize, th: f64| -> bool {
+            if t > th {
+                !sign(idx)
+            } else {
+                sign(idx)
+            }
+        };
+        let good = self.good.iter().map(|&i| sign(i));
+        let coop = self.coop.iter().map(|c| {
+            if t < c.tl || t > c.th {
+                direct(c.pair, c.th)
+            } else {
+                // Inside the crossover interval: cooperate.
+                let donor_bit = match c.assist_th {
+                    Some(th) => direct(c.assist, th),
+                    None => sign(c.assist),
+                };
+                sign(c.mask) ^ donor_bit
+            }
+        });
+        BitVec::from_bools(good.chain(coop))
+    }
+}
+
+/// Cooperative helper data prepared for reconstruction.
+#[derive(Debug)]
+struct PreparedCoop {
+    t_min: f64,
+    t_max: f64,
+    plan: Result<CoopPlan, ReconstructError>,
+    parity: BitVec,
+    ecc: Option<ParityHelper>,
+    freqs: Vec<f64>,
+}
+
+impl PreparedHelper for PreparedCoop {
+    fn reconstruct(
+        &mut self,
+        array: &RoArray,
+        env: Environment,
+        rng: &mut dyn RngCore,
+    ) -> Result<BitVec, ReconstructError> {
+        if !(self.t_min..=self.t_max).contains(&env.temperature_c) {
             return Err(ReconstructError::OutOfRange {
                 temperature_c: env.temperature_c,
             });
         }
-        let bits = self.raw_bits(array, &parsed, env, rng, scratch)?;
-        if bits.is_empty() {
-            return Err(ReconstructError::EccFailure);
-        }
-        let ecc = ParityHelper::new(bits.len(), self.config.ecc_t)
-            .map_err(|_| ReconstructError::EccFailure)?;
-        ecc.correct(&bits, &parsed.parity)
+        let plan = self.plan.as_ref().map_err(Clone::clone)?;
+        array.measure_all_into(env, rng, &mut self.freqs);
+        let bits = plan.raw_bits(&self.freqs, env.temperature_c);
+        let ecc = self.ecc.as_ref().ok_or(ReconstructError::EccFailure)?;
+        ecc.correct(&bits, &self.parity)
             .map_err(|_| ReconstructError::EccFailure)
     }
 }

@@ -15,11 +15,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ropuf_hash::hmac_sha256;
+use ropuf_hash::HmacKey;
 use ropuf_numeric::BitVec;
 use ropuf_sim::{Environment, RoArray};
 
-use crate::scheme::{EnrollError, HelperDataScheme, ReconstructError};
+use crate::scheme::{EnrollError, HelperDataScheme, PreparedHelper, ReconstructError};
 
 /// Outcome of one device query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +67,14 @@ pub struct Device {
     enrolled_key: BitVec,
     rng: StdRng,
     queries: u64,
-    /// Reused full-array measurement buffer: every query reconstructs
-    /// the key from a fresh frequency sweep, and this keeps that sweep
-    /// from allocating after the first query.
-    measure_scratch: Vec<f64>,
+    /// The scheme's prepared form of `helper`, built on the first query
+    /// after a write that changed the bytes. Preparation depends on the
+    /// scheme, the array's shape and the helper bytes alone, so byte
+    /// equality is the whole invalidation rule.
+    prepared: Option<Box<dyn PreparedHelper>>,
+    /// HMAC key schedule of the last key a query tagged with; most
+    /// queries reconstruct the same key as the one before.
+    tag_key: Option<(BitVec, HmacKey)>,
 }
 
 impl Device {
@@ -93,7 +97,8 @@ impl Device {
             enrolled_key: enrollment.key,
             rng,
             queries: 0,
-            measure_scratch: Vec::new(),
+            prepared: None,
+            tag_key: None,
         })
     }
 
@@ -104,31 +109,45 @@ impl Device {
 
     /// Overwrites helper NVM (attacker-writable).
     pub fn write_helper(&mut self, bytes: impl Into<Vec<u8>>) {
-        self.helper = bytes.into();
+        let bytes = bytes.into();
+        if bytes != self.helper {
+            self.helper = bytes;
+            self.prepared = None;
+        }
     }
 
     /// Overwrites helper NVM from a slice, reusing the NVM buffer's
     /// capacity — the attack hot paths rewrite the helper before every
     /// probe, and this keeps that rewrite allocation-free.
     pub fn set_helper(&mut self, bytes: &[u8]) {
-        self.helper.clear();
-        self.helper.extend_from_slice(bytes);
+        if bytes != self.helper.as_slice() {
+            self.helper.clear();
+            self.helper.extend_from_slice(bytes);
+            self.prepared = None;
+        }
     }
 
     /// One application query: reconstruct the key from current helper NVM
     /// at the given operating point and answer with an HMAC tag over the
     /// nonce; failures are observable.
     pub fn respond(&mut self, nonce: &[u8], env: Environment) -> DeviceResponse {
-        self.queries += 1;
-        match self.scheme.reconstruct_with_scratch(
-            &self.array,
-            &self.helper,
-            env,
-            &mut self.rng,
-            &mut self.measure_scratch,
-        ) {
-            Ok(key) => DeviceResponse::Tag(hmac_sha256(&key.to_bytes(), nonce)),
+        match self.reconstruct_key(env) {
+            Ok(key) => DeviceResponse::Tag(self.tag(key, nonce)),
             Err(_) => DeviceResponse::Failure,
+        }
+    }
+
+    /// `HMAC-SHA256(key, nonce)`, re-deriving the key schedule only when
+    /// `key` differs from the previous one.
+    fn tag(&mut self, key: BitVec, nonce: &[u8]) -> [u8; 32] {
+        match &self.tag_key {
+            Some((last, schedule)) if *last == key => schedule.tag(nonce),
+            _ => {
+                let schedule = HmacKey::new(&key.to_bytes());
+                let tag = schedule.tag(nonce);
+                self.tag_key = Some((key, schedule));
+                tag
+            }
         }
     }
 
@@ -163,13 +182,10 @@ impl Device {
     /// Propagates [`ReconstructError`].
     pub fn reconstruct_key(&mut self, env: Environment) -> Result<BitVec, ReconstructError> {
         self.queries += 1;
-        self.scheme.reconstruct_with_scratch(
-            &self.array,
-            &self.helper,
-            env,
-            &mut self.rng,
-            &mut self.measure_scratch,
-        )
+        let prepared = self
+            .prepared
+            .get_or_insert_with(|| self.scheme.prepare(self.array.dims(), &self.helper));
+        prepared.reconstruct(&self.array, env, &mut self.rng)
     }
 }
 

@@ -12,11 +12,13 @@
 use rand::RngCore;
 use ropuf_hash::sha256;
 use ropuf_numeric::BitVec;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 
 use crate::ecc_helper::ParityHelper;
-use crate::pairing::neighbor::{disjoint_chain_pairs, pair_bits};
-use crate::scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError};
+use crate::pairing::neighbor::{disjoint_chain_pairs, pair_bits, RoPair};
+use crate::scheme::{
+    boxed, EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError,
+};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Wire-format scheme tag for fuzzy-extractor helper data.
@@ -127,22 +129,11 @@ impl FuzzyExtractorScheme {
         &self.config
     }
 
-    fn response(
-        &self,
-        array: &RoArray,
-        env: Environment,
-        rng: &mut dyn RngCore,
-        avg: usize,
-        scratch: &mut Vec<f64>,
-    ) -> BitVec {
-        if avg > 1 {
-            // Enrollment-grade averaging: cold path, allocate freely.
-            *scratch = array.measure_all_averaged(env, avg, rng);
-        } else {
-            array.measure_all_into(env, rng, scratch);
-        }
+    /// The enrollment-grade (averaged) reference response.
+    fn reference_response(&self, array: &RoArray, rng: &mut dyn RngCore) -> BitVec {
+        let freqs = array.measure_all_averaged(Environment::nominal(), self.config.enroll_avg, rng);
         let pairs = disjoint_chain_pairs(array.dims());
-        BitVec::from_bools(pair_bits(&pairs, scratch))
+        BitVec::from_bools(pair_bits(&pairs, &freqs))
     }
 
     fn derive_key(w: &BitVec) -> BitVec {
@@ -167,13 +158,7 @@ impl HelperDataScheme for FuzzyExtractorScheme {
     }
 
     fn enroll(&self, array: &RoArray, rng: &mut dyn RngCore) -> Result<Enrollment, EnrollError> {
-        let w = self.response(
-            array,
-            Environment::nominal(),
-            rng,
-            self.config.enroll_avg,
-            &mut Vec::new(),
-        );
+        let w = self.reference_response(array, rng);
         if w.len() < 8 {
             return Err(EnrollError::InsufficientEntropy {
                 got: w.len(),
@@ -196,26 +181,19 @@ impl HelperDataScheme for FuzzyExtractorScheme {
         })
     }
 
-    fn reconstruct(
-        &self,
-        array: &RoArray,
-        helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError> {
-        self.reconstruct_with_scratch(array, helper, env, rng, &mut Vec::new())
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper> {
+        boxed(self.prepare_fuzzy(dims, helper))
     }
+}
 
-    fn reconstruct_with_scratch(
+impl FuzzyExtractorScheme {
+    fn prepare_fuzzy(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
-    ) -> Result<BitVec, ReconstructError> {
+    ) -> Result<PreparedFuzzy, ReconstructError> {
         let parsed = FuzzyHelper::from_bytes(helper)?;
-        if parsed.array_len as usize != array.len() {
+        if parsed.array_len as usize != dims.len() {
             return Err(WireError::Semantic {
                 what: "array length mismatch",
             }
@@ -224,22 +202,57 @@ impl HelperDataScheme for FuzzyExtractorScheme {
         if self.config.robust && parsed.auth_tag.is_empty() {
             return Err(ReconstructError::ManipulationDetected);
         }
-        let w_noisy = self.response(array, env, rng, 1, scratch);
-        if parsed.parity.len() == 0 && w_noisy.len() > 0 {
-            return Err(ReconstructError::EccFailure);
-        }
-        let ecc = ParityHelper::new(w_noisy.len(), self.config.ecc_t)
-            .map_err(|_| ReconstructError::EccFailure)?;
+        let pairs = disjoint_chain_pairs(dims);
+        // Missing parity or a code that cannot be built fails the query
+        // only after the array was measured, as an ECC failure.
+        let ecc = if parsed.parity.is_empty() {
+            None
+        } else {
+            ParityHelper::new(pairs.len(), self.config.ecc_t).ok()
+        };
+        let authenticated = self.config.robust.then(|| parsed.authenticated_bytes());
+        Ok(PreparedFuzzy {
+            pairs,
+            parity: parsed.parity,
+            auth_tag: parsed.auth_tag,
+            authenticated,
+            ecc,
+            freqs: Vec::new(),
+        })
+    }
+}
+
+/// Fuzzy-extractor helper data prepared for reconstruction.
+#[derive(Debug)]
+struct PreparedFuzzy {
+    pairs: Vec<RoPair>,
+    parity: BitVec,
+    auth_tag: Vec<u8>,
+    /// The bytes the tag authenticates (robust variant only).
+    authenticated: Option<Vec<u8>>,
+    ecc: Option<ParityHelper>,
+    freqs: Vec<f64>,
+}
+
+impl PreparedHelper for PreparedFuzzy {
+    fn reconstruct(
+        &mut self,
+        array: &RoArray,
+        env: Environment,
+        rng: &mut dyn RngCore,
+    ) -> Result<BitVec, ReconstructError> {
+        array.measure_all_into(env, rng, &mut self.freqs);
+        let w_noisy = BitVec::from_bools(pair_bits(&self.pairs, &self.freqs));
+        let ecc = self.ecc.as_ref().ok_or(ReconstructError::EccFailure)?;
         let w = ecc
-            .correct(&w_noisy, &parsed.parity)
+            .correct(&w_noisy, &self.parity)
             .map_err(|_| ReconstructError::EccFailure)?;
-        if self.config.robust {
-            let expect = Self::auth_tag(&w, &parsed.authenticated_bytes());
-            if expect != parsed.auth_tag {
+        if let Some(authenticated) = &self.authenticated {
+            if FuzzyExtractorScheme::auth_tag(&w, authenticated) != self.auth_tag {
                 return Err(ReconstructError::ManipulationDetected);
             }
         }
-        Ok(Self::derive_key(&w))
+        Ok(FuzzyExtractorScheme::derive_key(&w))
     }
 }
 

@@ -74,9 +74,31 @@ impl Distiller {
     /// Panics if `freqs.len() != dims.len()`.
     pub fn subtract(dims: ArrayDims, freqs: &[f64], poly: &Poly2d) -> Vec<f64> {
         assert_eq!(freqs.len(), dims.len(), "frequency map size mismatch");
+        let mut residuals = freqs.to_vec();
+        Self::subtract_offsets(&mut residuals, &Self::offsets(dims, poly));
+        residuals
+    }
+
+    /// The systematic surface `poly(x_i, y_i)` at every RO, in index
+    /// order: what [`Distiller::subtract`] removes, computed once per
+    /// polynomial.
+    pub(crate) fn offsets(dims: ArrayDims, poly: &Poly2d) -> Vec<f64> {
         dims.iter_coords()
-            .map(|(i, x, y)| freqs[i] - poly.eval(x as f64, y as f64))
+            .map(|(_, x, y)| poly.eval(x as f64, y as f64))
             .collect()
+    }
+
+    /// Turns a measured frequency map into residuals in place:
+    /// `values[i] -= offsets[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two maps differ in size.
+    pub(crate) fn subtract_offsets(values: &mut [f64], offsets: &[f64]) {
+        assert_eq!(values.len(), offsets.len(), "frequency map size mismatch");
+        for (v, o) in values.iter_mut().zip(offsets) {
+            *v -= o;
+        }
     }
 
     /// Fraction of map variance removed by the fit (R², diagnostic for the

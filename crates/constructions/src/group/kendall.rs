@@ -9,7 +9,7 @@
 //! `values[v] > values[u]`. Adjacent-rank flips caused by noise change
 //! exactly one Kendall bit, which relaxes the ECC's error-rate budget.
 
-use ropuf_numeric::Permutation;
+use ropuf_numeric::{BitVec, Permutation};
 
 /// Canonical local labelling of a group: its member RO indices sorted
 /// ascending. Table I's A, B, C, D are the members in this order.
@@ -34,10 +34,40 @@ pub fn group_order(members: &[usize], values: &[f64]) -> Permutation {
 /// Kendall bits of a group under a value map: `|G|(|G|−1)/2` bits in
 /// lexicographic local-pair order.
 pub fn group_kendall_bits(members: &[usize], values: &[f64]) -> Vec<bool> {
-    if members.len() < 2 {
-        return Vec::new();
+    let mut bits = BitVec::new();
+    KendallScratch::default().extend(&canonical_members(members), values, &mut bits);
+    bits.iter().collect()
+}
+
+/// Reused buffers for Kendall coding many groups, appending each
+/// group's bits to a [`BitVec`] without per-group allocation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KendallScratch {
+    order: Vec<usize>,
+    rank: Vec<usize>,
+}
+
+impl KendallScratch {
+    /// Appends the Kendall bits of the group whose members, in
+    /// canonical (ascending) order, are `canon`.
+    pub(crate) fn extend(&mut self, canon: &[usize], values: &[f64], out: &mut BitVec) {
+        let n = canon.len();
+        // The same descending sort, comparator and tie-break as
+        // `group_order`: residuals an attacker made NaN compare
+        // "equal" to everything, so only the identical sort reproduces
+        // its order.
+        Permutation::sort_desc_indices(n, |k| values[canon[k]], &mut self.order);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        for (pos, &e) in self.order.iter().enumerate() {
+            self.rank[e] = pos;
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                out.push(self.rank[v] < self.rank[u]);
+            }
+        }
     }
-    group_order(members, values).kendall_bits()
 }
 
 #[cfg(test)]

@@ -9,14 +9,17 @@
 use rand::RngCore;
 use ropuf_numeric::polyfit::{coefficient_count, Poly2d};
 use ropuf_numeric::BitVec;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 
 use crate::ecc_helper::ParityHelper;
 use crate::group::distiller::Distiller;
 use crate::group::grouping::{group_ros, Grouping};
-use crate::group::kendall::group_kendall_bits;
+use crate::group::kendall::{canonical_members, KendallScratch};
 use crate::group::packing::{pack_order, packed_bits};
-use crate::scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError, SanityPolicy};
+use crate::scheme::{
+    boxed, EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError,
+    SanityPolicy,
+};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Wire-format scheme tag for group-based helper data.
@@ -177,9 +180,10 @@ impl GroupBasedScheme {
     /// Concatenated Kendall bits of a grouping over a residual map, groups
     /// in ascending id order, members canonically labelled.
     pub fn kendall_vector(grouping: &Grouping, residuals: &[f64]) -> BitVec {
+        let mut scratch = KendallScratch::default();
         let mut bits = BitVec::new();
         for members in &grouping.groups {
-            bits.extend(group_kendall_bits(members, residuals));
+            scratch.extend(&canonical_members(members), residuals, &mut bits);
         }
         bits
     }
@@ -268,25 +272,17 @@ impl HelperDataScheme for GroupBasedScheme {
         })
     }
 
-    fn reconstruct(
-        &self,
-        array: &RoArray,
-        helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError> {
-        self.reconstruct_with_scratch(array, helper, env, rng, &mut Vec::new())
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper> {
+        boxed(self.prepare_group(dims, helper))
     }
+}
 
-    fn reconstruct_with_scratch(
+impl GroupBasedScheme {
+    fn prepare_group(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
-    ) -> Result<BitVec, ReconstructError> {
-        let dims = array.dims();
+    ) -> Result<PreparedGroup, ReconstructError> {
         let parsed = GroupBasedHelper::from_bytes(helper)?;
         if (parsed.cols as usize, parsed.rows as usize) != (dims.cols(), dims.rows()) {
             return Err(WireError::Semantic {
@@ -294,29 +290,73 @@ impl HelperDataScheme for GroupBasedScheme {
             }
             .into());
         }
-        array.measure_all_into(env, rng, scratch);
-        let freqs: &[f64] = scratch;
-        let poly = parsed.poly();
-        let residuals = Distiller::subtract(dims, &freqs, &poly);
         let grouping = parsed.grouping();
-        if self.config.sanity == SanityPolicy::Strict
-            && !grouping.is_valid(&residuals, self.config.delta_f_th)
+        let members = grouping
+            .groups
+            .iter()
+            .filter(|g| g.len() >= 2)
+            .map(|g| canonical_members(g))
+            .collect();
+        // An empty Kendall vector or a code that cannot be built fails
+        // the query only after the array was measured (and, under the
+        // strict policy, the grouping re-validated), as an ECC failure.
+        let ecc = ParityHelper::new(grouping.kendall_bits(), self.config.ecc_t).ok();
+        Ok(PreparedGroup {
+            scheme: self.clone(),
+            offsets: Distiller::offsets(dims, &parsed.poly()),
+            grouping,
+            members,
+            parity: parsed.parity,
+            ecc,
+            residuals: Vec::new(),
+            kendall: KendallScratch::default(),
+        })
+    }
+}
+
+/// Group-based helper data prepared for reconstruction.
+#[derive(Debug)]
+struct PreparedGroup {
+    scheme: GroupBasedScheme,
+    /// The helper polynomial at every RO.
+    offsets: Vec<f64>,
+    grouping: Grouping,
+    /// Canonical members of every group that yields Kendall bits, in
+    /// group order.
+    members: Vec<Vec<usize>>,
+    parity: BitVec,
+    ecc: Option<ParityHelper>,
+    residuals: Vec<f64>,
+    kendall: KendallScratch,
+}
+
+impl PreparedHelper for PreparedGroup {
+    fn reconstruct(
+        &mut self,
+        array: &RoArray,
+        env: Environment,
+        rng: &mut dyn RngCore,
+    ) -> Result<BitVec, ReconstructError> {
+        array.measure_all_into(env, rng, &mut self.residuals);
+        Distiller::subtract_offsets(&mut self.residuals, &self.offsets);
+        let config = self.scheme.config;
+        if config.sanity == SanityPolicy::Strict
+            && !self.grouping.is_valid(&self.residuals, config.delta_f_th)
         {
             return Err(WireError::Semantic {
                 what: "grouping violates the discrepancy threshold",
             }
             .into());
         }
-        let kendall = Self::kendall_vector(&grouping, &residuals);
-        if kendall.is_empty() {
-            return Err(ReconstructError::EccFailure);
+        let mut kendall = BitVec::new();
+        for members in &self.members {
+            self.kendall.extend(members, &self.residuals, &mut kendall);
         }
-        let ecc = ParityHelper::new(kendall.len(), self.config.ecc_t)
-            .map_err(|_| ReconstructError::EccFailure)?;
+        let ecc = self.ecc.as_ref().ok_or(ReconstructError::EccFailure)?;
         let corrected = ecc
-            .correct(&kendall, &parsed.parity)
+            .correct(&kendall, &self.parity)
             .map_err(|_| ReconstructError::EccFailure)?;
-        self.derive_key(&grouping, &corrected)
+        self.scheme.derive_key(&self.grouping, &corrected)
     }
 }
 

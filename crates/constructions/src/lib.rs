@@ -53,5 +53,7 @@ pub mod wire;
 
 pub use device::{Device, DeviceResponse};
 pub use ecc_helper::ParityHelper;
-pub use scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError, SanityPolicy};
+pub use scheme::{
+    EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError, SanityPolicy,
+};
 pub use validate::{helper_digest, peek_scheme_tag, scheme_name_of_tag, validate_helper};

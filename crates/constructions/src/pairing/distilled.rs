@@ -9,15 +9,18 @@
 //! which is exactly what the Fig. 6b/6c attacks rewrite.
 
 use rand::RngCore;
-use ropuf_numeric::polyfit::coefficient_count;
+use ropuf_numeric::polyfit::{coefficient_count, Poly2d};
 use ropuf_numeric::BitVec;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 
 use crate::ecc_helper::ParityHelper;
 use crate::group::distiller::Distiller;
 use crate::pairing::masking::{select_max_delta, selected_pairs};
 use crate::pairing::neighbor::{disjoint_chain_pairs, overlapping_chain_pairs, pair_bits, RoPair};
-use crate::scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError, SanityPolicy};
+use crate::scheme::{
+    boxed, EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError,
+    SanityPolicy,
+};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Wire-format scheme tag for distilled-pairing helper data.
@@ -150,8 +153,8 @@ impl DistilledPairingScheme {
         &self.config
     }
 
-    /// Resolves the concrete pair list for an array given stored
-    /// selections.
+    /// Resolves the concrete pair list for an array of shape `dims`
+    /// given stored selections.
     ///
     /// # Errors
     ///
@@ -159,10 +162,9 @@ impl DistilledPairingScheme {
     /// with the source.
     pub fn resolve_pairs(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         selections: &[u16],
     ) -> Result<Vec<RoPair>, WireError> {
-        let dims = array.dims();
         match self.config.source {
             PairSource::DisjointChain => {
                 if !selections.is_empty() {
@@ -219,7 +221,7 @@ impl HelperDataScheme for DistilledPairingScheme {
             _ => Vec::new(),
         };
         let pairs = self
-            .resolve_pairs(array, &selections)
+            .resolve_pairs(dims, &selections)
             .expect("enrollment selections are consistent");
         if pairs.len() < 2 {
             return Err(EnrollError::InsufficientEntropy {
@@ -244,25 +246,17 @@ impl HelperDataScheme for DistilledPairingScheme {
         })
     }
 
-    fn reconstruct(
-        &self,
-        array: &RoArray,
-        helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError> {
-        self.reconstruct_with_scratch(array, helper, env, rng, &mut Vec::new())
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper> {
+        boxed(self.prepare_distilled(dims, helper))
     }
+}
 
-    fn reconstruct_with_scratch(
+impl DistilledPairingScheme {
+    fn prepare_distilled(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
-    ) -> Result<BitVec, ReconstructError> {
-        let dims = array.dims();
+    ) -> Result<PreparedDistilled, ReconstructError> {
         let parsed = DistilledHelper::from_bytes(helper)?;
         if (parsed.cols as usize, parsed.rows as usize) != (dims.cols(), dims.rows()) {
             return Err(WireError::Semantic {
@@ -270,21 +264,45 @@ impl HelperDataScheme for DistilledPairingScheme {
             }
             .into());
         }
-        let pairs = self.resolve_pairs(array, &parsed.selections)?;
-        array.measure_all_into(env, rng, scratch);
-        let freqs: &[f64] = scratch;
-        let poly = ropuf_numeric::polyfit::Poly2d::from_coefficients(
-            parsed.degree as usize,
-            parsed.coefficients.clone(),
-        )
-        .map_err(|_| WireError::Semantic {
-            what: "inconsistent coefficients",
-        })?;
-        let residuals = Distiller::subtract(dims, &freqs, &poly);
-        let bits = BitVec::from_bools(pair_bits(&pairs, &residuals));
-        let ecc = ParityHelper::new(bits.len(), self.config.ecc_t)
-            .map_err(|_| ReconstructError::EccFailure)?;
-        ecc.correct(&bits, &parsed.parity)
+        let pairs = self.resolve_pairs(dims, &parsed.selections)?;
+        let poly = Poly2d::from_coefficients(parsed.degree as usize, parsed.coefficients)
+            .expect("coefficient count validated at parse time");
+        // A code that cannot be built fails the query only after the
+        // array was measured, as an ECC failure.
+        let ecc = ParityHelper::new(pairs.len(), self.config.ecc_t).ok();
+        Ok(PreparedDistilled {
+            offsets: Distiller::offsets(dims, &poly),
+            pairs,
+            parity: parsed.parity,
+            ecc,
+            residuals: Vec::new(),
+        })
+    }
+}
+
+/// Distilled-pairing helper data prepared for reconstruction.
+#[derive(Debug)]
+struct PreparedDistilled {
+    /// The helper polynomial at every RO.
+    offsets: Vec<f64>,
+    pairs: Vec<RoPair>,
+    parity: BitVec,
+    ecc: Option<ParityHelper>,
+    residuals: Vec<f64>,
+}
+
+impl PreparedHelper for PreparedDistilled {
+    fn reconstruct(
+        &mut self,
+        array: &RoArray,
+        env: Environment,
+        rng: &mut dyn RngCore,
+    ) -> Result<BitVec, ReconstructError> {
+        array.measure_all_into(env, rng, &mut self.residuals);
+        Distiller::subtract_offsets(&mut self.residuals, &self.offsets);
+        let bits = BitVec::from_bools(pair_bits(&self.pairs, &self.residuals));
+        let ecc = self.ecc.as_ref().ok_or(ReconstructError::EccFailure)?;
+        ecc.correct(&bits, &self.parity)
             .map_err(|_| ReconstructError::EccFailure)
     }
 }

@@ -19,10 +19,13 @@
 
 use rand::{Rng, RngCore};
 use ropuf_numeric::BitVec;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 
 use crate::ecc_helper::ParityHelper;
-use crate::scheme::{EnrollError, Enrollment, HelperDataScheme, ReconstructError, SanityPolicy};
+use crate::scheme::{
+    boxed, EnrollError, Enrollment, HelperDataScheme, PreparedHelper, ReconstructError,
+    SanityPolicy,
+};
 use crate::wire::{WireError, WireReader, WireWriter};
 
 /// Wire-format scheme tag for LISA helper data.
@@ -226,29 +229,57 @@ impl HelperDataScheme for LisaScheme {
         })
     }
 
-    fn reconstruct(
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper> {
+        boxed(self.prepare_lisa(dims, helper))
+    }
+}
+
+impl LisaScheme {
+    fn prepare_lisa(
         &self,
-        array: &RoArray,
+        dims: ArrayDims,
         helper: &[u8],
-        env: Environment,
-        rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError> {
+    ) -> Result<PreparedLisa, ReconstructError> {
         let parsed = LisaHelper::from_bytes(helper, self.config.sanity)?;
-        if parsed.array_len as usize != array.len() {
+        if parsed.array_len as usize != dims.len() {
             return Err(WireError::Semantic {
                 what: "array length mismatch",
             }
             .into());
         }
-        let mut response = BitVec::new();
-        for &(a, b) in &parsed.pairs {
+        // A code that cannot be built fails the query only after the
+        // pairs were measured, as an ECC failure.
+        let ecc = ParityHelper::new(parsed.pairs.len(), self.config.ecc_t).ok();
+        Ok(PreparedLisa {
+            pairs: parsed.pairs,
+            parity: parsed.parity,
+            ecc,
+        })
+    }
+}
+
+/// LISA helper data prepared for reconstruction.
+#[derive(Debug)]
+struct PreparedLisa {
+    pairs: Vec<(u16, u16)>,
+    parity: BitVec,
+    ecc: Option<ParityHelper>,
+}
+
+impl PreparedHelper for PreparedLisa {
+    fn reconstruct(
+        &mut self,
+        array: &RoArray,
+        env: Environment,
+        rng: &mut dyn RngCore,
+    ) -> Result<BitVec, ReconstructError> {
+        let response = BitVec::from_bools(self.pairs.iter().map(|&(a, b)| {
             let fa = array.measure(a as usize, env, rng);
             let fb = array.measure(b as usize, env, rng);
-            response.push(fa > fb);
-        }
-        let ecc = ParityHelper::new(response.len(), self.config.ecc_t)
-            .map_err(|_| ReconstructError::EccFailure)?;
-        ecc.correct(&response, &parsed.parity)
+            fa > fb
+        }));
+        let ecc = self.ecc.as_ref().ok_or(ReconstructError::EccFailure)?;
+        ecc.correct(&response, &self.parity)
             .map_err(|_| ReconstructError::EccFailure)
     }
 }

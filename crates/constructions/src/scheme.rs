@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 use ropuf_numeric::BitVec;
-use ropuf_sim::{Environment, RoArray};
+use ropuf_sim::{ArrayDims, Environment, RoArray};
 use std::fmt;
 
 use crate::wire::WireError;
@@ -144,8 +144,22 @@ pub trait HelperDataScheme: fmt::Debug {
     /// parameters.
     fn enroll(&self, array: &RoArray, rng: &mut dyn RngCore) -> Result<Enrollment, EnrollError>;
 
+    /// Parses and validates helper bytes for an array of shape `dims`
+    /// and precomputes everything reconstruction needs that depends on
+    /// the helper alone (pair lists, distiller offsets, groups, the ECC
+    /// code), so a device that answers many queries under one helper
+    /// pays for it once.
+    ///
+    /// Preparation sees the array's shape only: by type it cannot read
+    /// the secret frequencies or draw from the RNG. A helper that
+    /// reconstruction rejects before measuring is rejected by the
+    /// prepared form without drawing from the RNG; one rejected after
+    /// measuring still measures first.
+    fn prepare(&self, dims: ArrayDims, helper: &[u8]) -> Box<dyn PreparedHelper>;
+
     /// Key reconstruction from (possibly attacker-modified) helper bytes
-    /// at the given operating point.
+    /// at the given operating point: [`HelperDataScheme::prepare`]
+    /// followed by one [`PreparedHelper::reconstruct`].
     ///
     /// # Errors
     ///
@@ -157,30 +171,59 @@ pub trait HelperDataScheme: fmt::Debug {
         helper: &[u8],
         env: Environment,
         rng: &mut dyn RngCore,
-    ) -> Result<BitVec, ReconstructError>;
+    ) -> Result<BitVec, ReconstructError> {
+        self.prepare(array.dims(), helper)
+            .reconstruct(array, env, rng)
+    }
+}
 
-    /// [`HelperDataScheme::reconstruct`] with a caller-owned frequency
-    /// scratch buffer, so hot loops (oracle probes, campaign sweeps)
-    /// stop allocating one `Vec<f64>` per full-array measurement.
+/// Helper data in the form one scheme prepared it for one array shape
+/// ([`HelperDataScheme::prepare`]): the per-query half of key
+/// reconstruction.
+pub trait PreparedHelper: fmt::Debug {
+    /// Measures `array` once at `env` and regenerates the key, reusing
+    /// buffers owned by the prepared form.
     ///
-    /// The two entry points are interchangeable bit-for-bit: same RNG
-    /// consumption, same key, same errors. The default ignores the
-    /// scratch; schemes whose reconstruction measures the whole array
-    /// override it.
+    /// `array` must have the shape the helper was prepared for. Results
+    /// and RNG consumption equal those of a fresh
+    /// [`HelperDataScheme::reconstruct`] with the same helper bytes.
     ///
     /// # Errors
     ///
     /// Identical to [`HelperDataScheme::reconstruct`].
-    fn reconstruct_with_scratch(
-        &self,
+    fn reconstruct(
+        &mut self,
         array: &RoArray,
-        helper: &[u8],
         env: Environment,
         rng: &mut dyn RngCore,
-        scratch: &mut Vec<f64>,
+    ) -> Result<BitVec, ReconstructError>;
+}
+
+/// Boxes a scheme's prepared helper, or the rejection of a helper that
+/// reconstruction refuses before measuring.
+pub(crate) fn boxed<P: PreparedHelper + 'static>(
+    prepared: Result<P, ReconstructError>,
+) -> Box<dyn PreparedHelper> {
+    match prepared {
+        Ok(p) => Box::new(p),
+        Err(e) => Box::new(Rejected(e)),
+    }
+}
+
+/// The prepared form of helper data rejected before any measurement:
+/// every reconstruction returns the same error and draws nothing from
+/// the RNG.
+#[derive(Debug)]
+struct Rejected(ReconstructError);
+
+impl PreparedHelper for Rejected {
+    fn reconstruct(
+        &mut self,
+        _array: &RoArray,
+        _env: Environment,
+        _rng: &mut dyn RngCore,
     ) -> Result<BitVec, ReconstructError> {
-        let _ = scratch;
-        self.reconstruct(array, helper, env, rng)
+        Err(self.0.clone())
     }
 }
 

@@ -80,14 +80,24 @@ impl Permutation {
     /// Ties are broken by index (stable), mirroring a comparator that
     /// returns an arbitrary-but-fixed bit for Δf = 0.
     pub fn sorting_desc(values: &[f64]) -> Self {
-        let mut idx: Vec<usize> = (0..values.len()).collect();
+        let mut perm = Vec::new();
+        Self::sort_desc_indices(values.len(), |i| values[i], &mut perm);
+        Self { perm }
+    }
+
+    /// The one-line notation of [`Self::sorting_desc`] over the `n`
+    /// values `value(0), …, value(n − 1)`, written into a caller-owned
+    /// buffer. Same comparator and tie-break, so the same order even
+    /// when NaNs make the comparison inconsistent.
+    pub fn sort_desc_indices(n: usize, value: impl Fn(usize) -> f64, idx: &mut Vec<usize>) {
+        idx.clear();
+        idx.extend(0..n);
         idx.sort_by(|&a, &b| {
-            values[b]
-                .partial_cmp(&values[a])
+            value(b)
+                .partial_cmp(&value(a))
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        Self { perm: idx }
     }
 
     /// Number of elements.
